@@ -5,7 +5,7 @@ that no day collects more than r birthdays, count the valid configurations,
 and find the largest n keeping that probability at or above a threshold.
 """
 
-from .exact_arith import BigCount, ExactProbability, binomial, int_pow, ratio
+from .exact_arith import binomial, ratio
 from .search import SearchRequest, SearchResult, find_nmax
 from .solvers import (
     AlgorithmId,
@@ -28,7 +28,6 @@ from .solvers import (
 from .stirling import restricted_stirling2, stirling2
 from .tabulator import (
     BenchReport,
-    ProbabilityCache,
     TableResult,
     TableSpec,
     XCheckReport,
@@ -41,12 +40,9 @@ from .tabulator import (
 __all__ = [
     "AlgorithmId",
     "BenchReport",
-    "BigCount",
-    "ExactProbability",
     "InstanceTooLargeError",
     "Mode",
     "ProbResult",
-    "ProbabilityCache",
     "ProblemInstance",
     "SearchRequest",
     "SearchResult",
@@ -63,7 +59,6 @@ __all__ = [
     "cross_check",
     "find_nmax",
     "generate_table",
-    "int_pow",
     "prob_bruteforce",
     "prob_counting",
     "prob_day_recurrence",

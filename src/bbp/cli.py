@@ -26,8 +26,6 @@ from .solvers import (
 )
 from .stirling import restricted_stirling2, stirling2
 from .tabulator import (
-    CacheCorruptionError,
-    ProbabilityCache,
     TableSpec,
     benchmark,
     cross_check,
@@ -88,7 +86,6 @@ def build_parser() -> _Parser:
                    help="mantissa bits for float mode (default: doubles)")
     p.add_argument("--format", default="frac", choices=["frac", "dec", "json"])
     p.add_argument("--digits", type=int, default=12)
-    p.add_argument("--cache", default=None)
 
     p = sub.add_parser("count", help="number of valid configurations")
     instance_flags(p)
@@ -113,11 +110,11 @@ def build_parser() -> _Parser:
                    choices=[a.value for a in EXACT_ALGORITHMS])
     p.add_argument("--format", default="markdown",
                    choices=["csv", "markdown", "json"])
-    p.add_argument("--float-above", type=int, default=365,
-                   help="columns beyond this use float search with exact"
-                        " boundary verification")
+    p.add_argument("--float-above", type=int, default=None, metavar="N",
+                   help="search columns with m > N in float mode first, then"
+                        " walk exactly to the crossing (default: exact in"
+                        " every column)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", default=None)
 
     p = sub.add_parser("stirling", help="Stirling numbers of the second kind")
     p.add_argument("--objects", "-n", type=int, required=True)
@@ -156,15 +153,7 @@ def _emit_prob(args, out) -> None:
             out.write(repr(float(approx)) + "\n")
         return
 
-    cache = ProbabilityCache(args.cache) if args.cache else None
-    key = (inst.m, inst.n, inst.r)
-    if cache is not None and algorithm is AlgorithmId.DIRECT and key in cache.entries:
-        p = cache.entries[key]
-    else:
-        p = prob_exact(inst, algorithm)
-        if cache is not None and algorithm is AlgorithmId.DIRECT:
-            cache.entries[key] = p
-            cache.save()
+    p = prob_exact(inst, algorithm)
     if args.format == "frac":
         out.write("%d/%d\n" % (p.numerator, p.denominator))
     elif args.format == "dec":
@@ -228,8 +217,7 @@ def _emit_table(args, out) -> None:
         float_above=args.float_above,
         jobs=max(1, args.jobs),
     )
-    cache = ProbabilityCache(args.cache) if args.cache else None
-    result = generate_table(spec, cache=cache)
+    result = generate_table(spec)
     out.write(render(result))
 
 
@@ -287,7 +275,7 @@ def run(argv: list[str] | None = None,
     except (UsageError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 1
-    except (InstanceTooLargeError, CacheCorruptionError) as exc:
+    except InstanceTooLargeError as exc:
         err.write("refused: %s\n" % exc)
         return 2
 

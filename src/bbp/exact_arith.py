@@ -31,11 +31,6 @@ def big_int_strings():
     finally:
         sys.set_int_max_str_digits(old)
 
-# Type aliases for readability at call sites.  A BigCount is a nonnegative
-# arbitrary-precision integer; an ExactProbability is a reduced rational.
-BigCount = int
-ExactProbability = Fraction
-
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), exactly.  Returns 0 when k < 0 or k > n."""
@@ -44,13 +39,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def int_pow(base: int, exp: int) -> int:
-    """base**exp with 0**0 defined as 1."""
-    if base < 0 or exp < 0:
-        raise ValueError("int_pow requires base >= 0 and exp >= 0")
-    return base ** exp
 
 
 def ratio(num: int, den: int) -> Fraction:

@@ -1,9 +1,13 @@
-"""Binary search for the largest n keeping P(m, n, r) at or above a threshold.
+"""The largest n keeping P(m, n, r) at or above a threshold, by a forward walk.
 
-P is nonincreasing in n and hits zero past n = m*r (pigeonhole), so the
-search domain [0, m*r] is exact.  Thresholds are exact rationals and all
-boundary comparisons are exact; a float-backed search re-verifies both
-certificate cells in exact arithmetic and repairs the answer if needed.
+P is nonincreasing in n and hits zero past n = m*r (pigeonhole), so n_max
+lies in [0, m*r].  Every context fills all of 0..n to answer n, so the
+search walks up from 0 and stops at the first n with P < gamma: the fill
+ends exactly at n_max + 1, and the two cells it ends on are the certificate.
+Thresholds are exact rationals and every comparison that decides the
+answer is exact.  Float mode walks a floating-point context first to find a
+starting point, then walks the exact context from there to the true
+crossing, so its answer and certificate equal the exact ones.
 """
 
 from __future__ import annotations
@@ -44,17 +48,33 @@ def _check_gamma(gamma: Fraction) -> None:
         raise ValueError("gamma must be at most 1")
 
 
-def find_nmax(req: SearchRequest, cache: dict | None = None) -> SearchResult:
+def _walk(at_least, start: int, hi_bound: int) -> int:
+    """The largest n in [0, hi_bound] with at_least(n), stepping from start.
+
+    at_least must hold at 0 and be monotone: true up to the answer, false
+    after it.
+    """
+    n = start
+    while n > 0 and not at_least(n):
+        n -= 1
+    while n < hi_bound and at_least(n + 1):
+        n += 1
+    return n
+
+
+def find_nmax(req: SearchRequest) -> SearchResult:
     """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r)."""
     _check_gamma(req.gamma)
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
 
+    start = 0
     if req.mode is Mode.FLOAT:
         if req.algorithm is not AlgorithmId.DIRECT:
             raise ValueError("float mode is only available for the direct algorithm")
-        candidate = _float_search(m, r, gamma, req.precision, hi_bound)
-        return _verify_and_certify(m, r, gamma, candidate, hi_bound, cache)
+        fctx = FloatDirectContext(m, r, req.precision)
+        g = float(gamma)
+        start = _walk(lambda n: fctx.prob(n) >= g, 0, hi_bound)
 
     if req.algorithm is AlgorithmId.DIRECT:
         ctx = DirectContext(m, r)
@@ -63,61 +83,9 @@ def find_nmax(req: SearchRequest, cache: dict | None = None) -> SearchResult:
         ctx = make_context(m, r, req.algorithm)
         at_least = lambda n: ctx.prob(n) >= gamma
 
-    lo, hi = 0, hi_bound
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if at_least(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    n_max = lo
-    result = SearchResult(
+    n_max = _walk(at_least, start, hi_bound)
+    return SearchResult(
         n_max=n_max,
         p_at_nmax=ctx.prob(n_max),
         p_at_nmax_plus_1=ctx.prob(n_max + 1) if n_max < hi_bound else Fraction(0),
-    )
-    if cache is not None:
-        cache[(m, n_max, r)] = result.p_at_nmax
-        cache[(m, n_max + 1, r)] = result.p_at_nmax_plus_1
-    return result
-
-
-def _float_search(m: int, r: int, gamma: Fraction, precision: int | None,
-                  hi_bound: int) -> int:
-    ctx = FloatDirectContext(m, r, precision)
-    g = float(gamma)
-    lo, hi = 0, hi_bound
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ctx.prob(mid) >= g:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _verify_and_certify(m: int, r: int, gamma: Fraction, candidate: int,
-                        hi_bound: int, cache: dict | None) -> SearchResult:
-    """Exactly re-check the float boundary and walk to the true crossing."""
-    ctx = DirectContext(m, r)
-
-    def exact_p(n: int) -> Fraction:
-        if n > hi_bound:
-            return Fraction(0)
-        if cache is not None and (m, n, r) in cache:
-            return cache[(m, n, r)]
-        p = ctx.prob(n)
-        if cache is not None:
-            cache[(m, n, r)] = p
-        return p
-
-    n = candidate
-    while n > 0 and exact_p(n) < gamma:
-        n -= 1
-    while n < hi_bound and exact_p(n + 1) >= gamma:
-        n += 1
-    return SearchResult(
-        n_max=n,
-        p_at_nmax=exact_p(n),
-        p_at_nmax_plus_1=exact_p(n + 1),
     )

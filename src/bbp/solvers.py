@@ -415,7 +415,7 @@ class DirectContext:
         T(mm, nn) = mm * T(mm, nn-1) - mm * C(nn-1, r) * T(mm-1, nn-1-r)
 
     Layers over nn hold all mm at once; the trailing r+1 layers are kept
-    plus the full top-row (mm = m) history, so binary search can query any
+    plus the full top-row (mm = m) history, so a search can query any
     already-filled n.  The table only ever grows in n.
     """
 

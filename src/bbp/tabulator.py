@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_arith import big_int_strings
 from .search import SearchRequest, find_nmax
 from .solvers import (
     AlgorithmId,
@@ -35,10 +34,6 @@ from .solvers import (
 PAPER_M_VALUES = [10, 25, 50, 100, 200, 365, 500, 1000]
 PAPER_R_VALUES = list(range(1, 11))
 
-# Columns wider than this are searched in float mode; both certificate
-# cells are always re-verified exactly, so the answers stay exact.
-DEFAULT_FLOAT_ABOVE = 365
-
 
 @dataclass
 class TableSpec:
@@ -47,7 +42,9 @@ class TableSpec:
     gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
     algorithm: AlgorithmId = AlgorithmId.DIRECT
     output_format: str = "markdown"  # csv | markdown | json
-    float_above: int = DEFAULT_FLOAT_ABOVE
+    # Columns with m above this are searched in float mode first; the
+    # answers stay exact.  None searches every column exactly.
+    float_above: int | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -67,7 +64,7 @@ class TableResult:
 
 
 def _cell_job(args):
-    m, r, gamma_nd, algorithm_name, use_float, cache_snapshot = args
+    m, r, gamma_nd, algorithm_name, use_float = args
     gamma = Fraction(*gamma_nd)
     req = SearchRequest(
         m=m,
@@ -76,40 +73,25 @@ def _cell_job(args):
         algorithm=AlgorithmId(algorithm_name),
         mode=Mode.FLOAT if use_float else Mode.EXACT,
     )
-    local_cache = dict(cache_snapshot)
-    result = find_nmax(req, cache=local_cache)
-    # Ship new entries as int pairs: Fraction pickles via str() and huge
-    # values would trip the int-to-str conversion guard.
-    new_entries = {
-        k: (v.numerator, v.denominator)
-        for k, v in local_cache.items()
-        if k not in cache_snapshot
-    }
-    return result.n_max, new_entries
+    return find_nmax(req).n_max
 
 
-def generate_table(spec: TableSpec, cache: "ProbabilityCache | None" = None) -> TableResult:
+def generate_table(spec: TableSpec) -> TableResult:
     jobs = []
-    snapshot = dict(cache.entries) if cache is not None else {}
     for r in spec.r_values:
         for m in spec.m_values:
-            use_float = spec.algorithm is AlgorithmId.DIRECT and m > spec.float_above
+            use_float = (spec.algorithm is AlgorithmId.DIRECT
+                         and spec.float_above is not None and m > spec.float_above)
             jobs.append(
                 (m, r, (spec.gamma.numerator, spec.gamma.denominator),
-                 spec.algorithm.value, use_float, snapshot)
+                 spec.algorithm.value, use_float)
             )
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_cell_job, jobs))
+            values = list(pool.map(_cell_job, jobs))
     else:
-        outcomes = [_cell_job(job) for job in jobs]
-    if cache is not None:
-        for _, new_entries in outcomes:
-            for key, (num, den) in new_entries.items():
-                cache.entries[key] = Fraction(num, den)
-        cache.save()
+        values = [_cell_job(job) for job in jobs]
     ncols = len(spec.m_values)
-    values = [n_max for n_max, _ in outcomes]
     cells = [values[i * ncols : (i + 1) * ncols] for i in range(len(spec.r_values))]
     return TableResult(spec=spec, cells=cells)
 
@@ -307,59 +289,3 @@ def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
                 )
     environment = "%s, Python %s" % (platform.platform(), platform.python_version())
     return BenchReport(rows=rows, repetitions=repetitions, environment=environment)
-
-
-# ---------------------------------------------------------------------------
-# On-disk probability cache
-
-
-class CacheCorruptionError(Exception):
-    """The cache file is unreadable; delete it and rerun."""
-
-
-CACHE_HEADER = "bbp-prob-cache v1"
-
-
-class ProbabilityCache:
-    """Single-file memo of (m, n, r) -> exact P, as decimal strings."""
-
-    def __init__(self, path):
-        self.path = path
-        self.entries: dict[tuple[int, int, int], Fraction] = {}
-        self.load()
-
-    def load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return  # cache misses are silent
-        try:
-            self._parse(lines)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CacheCorruptionError(
-                "corrupt cache file %s (%s); delete it and rerun" % (self.path, exc)
-            ) from exc
-
-    def _parse(self, lines) -> None:
-        with big_int_strings():
-            if not lines or lines[0] != CACHE_HEADER:
-                raise ValueError("bad header")
-            for line in lines[1:]:
-                if not line:
-                    continue
-                m_s, n_s, r_s, num_s, den_s = line.split()
-                self.entries[(int(m_s), int(n_s), int(r_s))] = Fraction(
-                    int(num_s), int(den_s)
-                )
-
-    def save(self) -> None:
-        with big_int_strings():
-            lines = [CACHE_HEADER]
-            for (m, n, r) in sorted(self.entries):
-                p = self.entries[(m, n, r)]
-                lines.append(
-                    "%d %d %d %d %d" % (m, n, r, p.numerator, p.denominator)
-                )
-        with open(self.path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")

@@ -142,18 +142,6 @@ def test_oracle_guard_exit_2():
     assert err.startswith("refused:")
 
 
-def test_prob_cache_file(tmp_path):
-    path = str(tmp_path / "cli.cache")
-    argv = ["prob", "-m", "10", "-n", "9", "-r", "2", "--cache", path]
-    first = invoke(argv)
-    second = invoke(argv)  # served from cache
-    assert first == second
-    assert first[0] == 0
-    num, den = (int(x) for x in first[1].strip().split("/"))
-    assert 0 < Fraction(num, den) < 1
-    assert (tmp_path / "cli.cache").exists()
-
-
 def test_bench_subcommand():
     code, out, _ = invoke(["bench", "--instance", "6,8,2",
                            "--algos", "stirling,direct", "--reps", "1"])

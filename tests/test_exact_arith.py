@@ -7,7 +7,6 @@ import pytest
 from bbp.exact_arith import (
     binomial,
     decimal_string,
-    int_pow,
     parse_rational,
     ratio,
 )
@@ -43,33 +42,6 @@ def test_pascal_identity_exhaustive():
 def test_binomial_row_sums():
     for n in range(41):
         assert sum(binomial(n, k) for k in range(n + 1)) == 2 ** n
-
-
-def test_int_pow():
-    assert int_pow(10, 0) == 1
-    assert int_pow(3, 2) == 9
-    assert int_pow(0, 0) == 1
-    assert int_pow(0, 5) == 0
-    expected = 1
-    for _ in range(3):
-        expected *= 365
-    assert int_pow(365, 3) == expected == 48627125
-
-
-def test_int_pow_additive_exponents():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        b = rng.randrange(0, 50)
-        e1 = rng.randrange(0, 20)
-        e2 = rng.randrange(0, 20)
-        assert int_pow(b, e1) * int_pow(b, e2) == int_pow(b, e1 + e2)
-
-
-def test_int_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        int_pow(-2, 3)
-    with pytest.raises(ValueError):
-        int_pow(2, -3)
 
 
 def test_ratio_reduces():

@@ -1,9 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbp.search import SearchRequest, SearchResult, find_nmax
-from bbp.solvers import AlgorithmId, Mode, prob_exact, ProblemInstance
+from bbp.solvers import (
+    AlgorithmId,
+    Mode,
+    ProblemInstance,
+    StirlingContext,
+    prob_exact,
+)
 
 
 def certificate_holds(m, r, gamma, result: SearchResult,
@@ -110,14 +117,29 @@ def test_monotone_in_r_and_m():
         assert values == sorted(values)
 
 
-def test_cache_populated_and_reused():
-    cache: dict = {}
-    first = find_nmax(SearchRequest(m=10, r=2), cache=cache)
-    assert cache[(10, first.n_max, 2)] == first.p_at_nmax
-    assert cache[(10, first.n_max + 1, 2)] == first.p_at_nmax_plus_1
-    # A poisoned cache entry must be picked up by the float path, proving
-    # the lookup is actually consulted.
-    poisoned = dict(cache)
-    poisoned[(10, first.n_max, 2)] = Fraction(1, 3)  # below gamma
-    shifted = find_nmax(SearchRequest(m=10, r=2, mode=Mode.FLOAT), cache=poisoned)
-    assert shifted.n_max == first.n_max - 1
+@st.composite
+def open_unit_fractions(draw):
+    """A rational in (0, 1]."""
+    den = draw(st.integers(1, 10 ** 6))
+    return Fraction(draw(st.integers(1, den)), den)
+
+
+@pytest.mark.parametrize("case", ["random", "attained", "below_floor"])
+@settings(deadline=None)
+@given(m=st.integers(1, 25), r=st.integers(1, 5), data=st.data())
+def test_nmax_matches_stirling_scan(case, m, r, data):
+    # P(m, n, r) for n = 0..m*r+1 by the Stirling route; the last is 0.
+    ctx = StirlingContext(m, r)
+    probs = [ctx.prob(n) for n in range(m * r + 2)]
+    if case == "random":
+        gamma = data.draw(open_unit_fractions())
+    elif case == "attained":
+        gamma = probs[data.draw(st.integers(0, m * r))]  # the tie counts as >=
+    else:
+        gamma = probs[m * r] * data.draw(open_unit_fractions().filter(lambda g: g < 1))
+    expected = max(n for n, p in enumerate(probs) if p >= gamma)
+    if case == "below_floor":
+        assert expected == m * r and probs[expected + 1] == 0
+    for mode in (Mode.EXACT, Mode.FLOAT):
+        result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma, mode=mode))
+        assert result == SearchResult(expected, probs[expected], probs[expected + 1]), mode

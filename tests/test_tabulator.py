@@ -5,8 +5,6 @@ import pytest
 
 from bbp.solvers import AlgorithmId, ProblemInstance
 from bbp.tabulator import (
-    CacheCorruptionError,
-    ProbabilityCache,
     TableSpec,
     benchmark,
     cross_check,
@@ -132,33 +130,3 @@ def test_benchmark_excludes_oversized_oracle():
     big = ProblemInstance(365, 23, 1)
     report = benchmark([big], [AlgorithmId.BRUTE_FORCE], repetitions=1)
     assert report.rows == []
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "probs.cache"
-    cache = ProbabilityCache(path)
-    cache.entries[(10, 9, 2)] = Fraction(63, 125)
-    cache.save()
-    reloaded = ProbabilityCache(path)
-    assert reloaded.entries == {(10, 9, 2): Fraction(63, 125)}
-
-
-def test_cache_missing_file_is_silent(tmp_path):
-    cache = ProbabilityCache(tmp_path / "absent.cache")
-    assert cache.entries == {}
-
-
-def test_cache_corruption_is_hard_error(tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("not a cache\n1 2 3\n")
-    with pytest.raises(CacheCorruptionError):
-        ProbabilityCache(path)
-
-
-def test_table_uses_cache(tmp_path):
-    path = tmp_path / "table.cache"
-    cache = ProbabilityCache(path)
-    generate_table(small_spec(float_above=1), cache=cache)
-    assert cache.entries  # boundary certificates were recorded
-    reloaded = ProbabilityCache(path)
-    assert reloaded.entries == cache.entries
