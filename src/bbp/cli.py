@@ -1,7 +1,8 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
-benchmark timeout).  Diagnostics go to stderr, results to stdout.
+benchmark timeout, a recurrence that lost exactness).  Diagnostics go to
+stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .solvers import (
     prob_direct,
     prob_exact,
 )
-from .stirling import restricted_stirling2, stirling2
+from .stirling import NegativeCountError, restricted_stirling2, stirling2
 from .tabulator import (
     TableSpec,
     benchmark,
@@ -97,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--days", "-m", type=int, required=True)
     p.add_argument("--max-per-day", "-r", type=int, required=True)
     p.add_argument("--gamma", default="1/2")
-    p.add_argument("--algo", default="direct",
+    p.add_argument("--algo", default="column",
                    choices=[a.value for a in EXACT_ALGORITHMS])
     p.add_argument("--mode", default="exact", choices=["exact", "float"])
     p.add_argument("--format", default="plain", choices=["plain", "json"])
@@ -106,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--days", default="10,25,50,100,200,365,500,1000")
     p.add_argument("--max-per-day", default="1..10")
     p.add_argument("--gamma", default="1/2")
-    p.add_argument("--algo", default="direct",
+    p.add_argument("--algo", default="column",
                    choices=[a.value for a in EXACT_ALGORITHMS])
     p.add_argument("--format", default="markdown",
                    choices=["csv", "markdown", "json"])
@@ -213,7 +214,7 @@ def _emit_table(args, out) -> None:
         r_values=_parse_int_list(args.max_per_day),
         gamma=parse_rational(args.gamma),
         algorithm=_algo(args.algo),
-        output_format={"md": "markdown"}.get(args.format, args.format),
+        output_format=args.format,
         float_above=args.float_above,
         jobs=max(1, args.jobs),
     )
@@ -275,7 +276,7 @@ def run(argv: list[str] | None = None,
     except (UsageError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 1
-    except InstanceTooLargeError as exc:
+    except (InstanceTooLargeError, NegativeCountError) as exc:
         err.write("refused: %s\n" % exc)
         return 2
 

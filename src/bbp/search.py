@@ -5,9 +5,11 @@ lies in [0, m*r].  Every context fills all of 0..n to answer n, so the
 search walks up from 0 and stops at the first n with P < gamma: the fill
 ends exactly at n_max + 1, and the two cells it ends on are the certificate.
 Thresholds are exact rationals and every comparison that decides the
-answer is exact.  Float mode walks a floating-point context first to find a
-starting point, then walks the exact context from there to the true
-crossing, so its answer and certificate equal the exact ones.
+answer is exact.  The default column context costs O(r) per n whatever m
+is.  Float mode is the float-guided direct search: it walks a
+floating-point direct context first to find a starting point, then walks the
+exact direct context from there to the true crossing, so its answer and
+certificate equal the exact ones.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from .solvers import (
     AlgorithmId,
+    ColumnContext,
     DirectContext,
     FloatDirectContext,
     Mode,
@@ -24,12 +27,16 @@ from .solvers import (
 )
 
 
+# Float mode is the float-guided direct search; these algorithms accept it.
+FLOAT_ALGORITHMS = (AlgorithmId.DIRECT, AlgorithmId.COLUMN)
+
+
 @dataclass
 class SearchRequest:
     m: int
     r: int
     gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    algorithm: AlgorithmId = AlgorithmId.DIRECT
+    algorithm: AlgorithmId = AlgorithmId.COLUMN
     mode: Mode = Mode.EXACT
     precision: int | None = None  # mantissa bits for float mode, None = doubles
 
@@ -70,17 +77,19 @@ def find_nmax(req: SearchRequest) -> SearchResult:
 
     start = 0
     if req.mode is Mode.FLOAT:
-        if req.algorithm is not AlgorithmId.DIRECT:
-            raise ValueError("float mode is only available for the direct algorithm")
+        if req.algorithm not in FLOAT_ALGORITHMS:
+            raise ValueError("float mode is a direct search: use the direct or"
+                             " column algorithm")
         fctx = FloatDirectContext(m, r, req.precision)
         g = float(gamma)
         start = _walk(lambda n: fctx.prob(n) >= g, 0, hi_bound)
-
-    if req.algorithm is AlgorithmId.DIRECT:
         ctx = DirectContext(m, r)
-        at_least = lambda n: ctx.prob_at_least(n, gamma)
     else:
         ctx = make_context(m, r, req.algorithm)
+
+    if isinstance(ctx, (ColumnContext, DirectContext)):
+        at_least = lambda n: ctx.prob_at_least(n, gamma)
+    else:
         at_least = lambda n: ctx.prob(n) >= gamma
 
     n_max = _walk(at_least, start, hi_bound)

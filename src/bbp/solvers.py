@@ -1,6 +1,6 @@
 """The bounded-occupancy probability solvers.
 
-Five independent routes to P(m, n, r), the probability that n uniformly
+Six independent routes to P(m, n, r), the probability that n uniformly
 random birthdays over m days leave no day with more than r of them:
 
 * brute force     -- enumerate bounded compositions, sum multinomials
@@ -8,9 +8,12 @@ random birthdays over m days leave no day with more than r of them:
 * counting        -- T(m, n, k, r) occupancy counts summed over k
 * stirling        -- C(m, k) * k! * {n, k}_{<=r} summed over k
 * direct          -- probability recurrence with a correction term
+* column          -- power-of-series recurrence on the top-m counts only
 
 All exact routes return identical reduced rationals; the brute-force route
-is the ground-truth oracle on small instances.
+is the ground-truth oracle on small instances.  The column route costs
+O(r) per n whatever m is, and the n_max search runs on it; the other
+routes do O(m) work or more per n.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class AlgorithmId(Enum):
     COUNTING = "counting"
     STIRLING = "stirling"
     DIRECT = "direct"
+    COLUMN = "column"
     BRUTE_FORCE = "brute"
 
 
@@ -49,6 +53,7 @@ EXACT_ALGORITHMS = (
     AlgorithmId.COUNTING,
     AlgorithmId.STIRLING,
     AlgorithmId.DIRECT,
+    AlgorithmId.COLUMN,
 )
 
 
@@ -577,6 +582,66 @@ def prob_direct(inst: ProblemInstance, mode: Mode = Mode.EXACT,
 
 
 # ---------------------------------------------------------------------------
+# Column recurrence
+
+
+class ColumnContext:
+    """Valid-assignment counts N(m, n, r) for one m, O(r) big-int steps per n.
+
+    N(m, n, r) = n! [x^n] (sum_{j<=r} x^j / j!)^m (Flajolet & Sedgewick,
+    Analytic Combinatorics, II.3).  J. C. P. Miller's power-of-series
+    recurrence (Knuth, TAOCP Vol. 2, 4.7) expands it on integers:
+
+        n N_n = sum_{j=1..min(r,n)} ((m+1) j - n) C(n, j) N_{n-j},  N_0 = 1
+
+    and the division by n is exact term by term, since j C(n, j) =
+    n C(n-1, j-1); a remainder can only come from broken coefficient
+    arithmetic.  Only the top-m column is held, so sub-m queries are
+    refused; m**n is kept alongside the counts so that probabilities never
+    recompute a power.
+    """
+
+    def __init__(self, m: int, r: int):
+        if m < 1 or r < 1:
+            raise ValueError("ColumnContext requires m >= 1 and r >= 1")
+        self.m, self.r = m, r
+        self._counts = [1]
+        self._pows = [1]  # m**n
+
+    def extend(self, n: int) -> None:
+        m1, r = self.m + 1, self.r
+        counts, pows = self._counts, self._pows
+        while len(counts) <= n:
+            nn = len(counts)
+            total = 0
+            c = 1  # C(nn, j)
+            for j in range(1, min(r, nn) + 1):
+                c = c * (nn - j + 1) // j
+                total += (m1 * j - nn) * c * counts[nn - j]
+            val, rem = divmod(total, nn)
+            if rem or val < 0:
+                raise NegativeCountError(
+                    "column fill lost exactness at m=%d n=%d r=%d" % (self.m, nn, r)
+                )
+            counts.append(val)
+            pows.append(pows[-1] * self.m)
+
+    def count(self, n: int, mm: int | None = None) -> int:
+        if mm is not None and mm != self.m:
+            raise ValueError("ColumnContext holds only m=%d" % self.m)
+        self.extend(n)
+        return self._counts[n]
+
+    def prob(self, n: int, mm: int | None = None) -> Fraction:
+        return Fraction(self.count(n, mm), self._pows[n])
+
+    def prob_at_least(self, n: int, gamma: Fraction) -> bool:
+        """P(m, n, r) >= gamma without building a reduced Fraction."""
+        t = self.count(n)
+        return gamma.denominator * t >= gamma.numerator * self._pows[n]
+
+
+# ---------------------------------------------------------------------------
 # Dispatch
 
 
@@ -590,6 +655,8 @@ def make_context(m: int, r: int, algorithm: AlgorithmId, keep_all: bool = False)
         return StirlingContext(m, r, keep_all=keep_all)
     if algorithm is AlgorithmId.DIRECT:
         return DirectContext(m, r, keep_all=keep_all)
+    if algorithm is AlgorithmId.COLUMN:
+        return ColumnContext(m, r)
     raise ValueError("no incremental context for %s" % algorithm)
 
 

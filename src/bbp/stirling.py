@@ -13,7 +13,7 @@ from .exact_arith import binomial
 
 
 class NegativeCountError(RuntimeError):
-    """An intermediate subtraction went negative; the table fill is broken."""
+    """An intermediate count went negative or inexact; the table fill is broken."""
 
 
 def stirling2(n: int, k: int) -> int:

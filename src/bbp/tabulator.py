@@ -1,7 +1,8 @@
 """Batch harness: n_max grids, cross-algorithm validation, benchmarks.
 
-Grid cells are independent jobs; results are assembled in spec order so the
-rendered output is byte-identical regardless of worker count.
+Grid cells are independent jobs, dispatched to a pool largest first; results
+are assembled in spec order so the rendered output is byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .search import SearchRequest, find_nmax
+from .search import FLOAT_ALGORITHMS, SearchRequest, find_nmax
 from .solvers import (
     AlgorithmId,
+    ColumnContext,
     CountingContext,
     DayContext,
     DirectContext,
@@ -40,10 +42,11 @@ class TableSpec:
     m_values: list[int] = field(default_factory=lambda: list(PAPER_M_VALUES))
     r_values: list[int] = field(default_factory=lambda: list(PAPER_R_VALUES))
     gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    algorithm: AlgorithmId = AlgorithmId.DIRECT
+    algorithm: AlgorithmId = AlgorithmId.COLUMN
     output_format: str = "markdown"  # csv | markdown | json
-    # Columns with m above this are searched in float mode first; the
-    # answers stay exact.  None searches every column exactly.
+    # With the direct or column algorithm, columns with m above this are
+    # searched in float mode first; the answers stay exact.  None searches
+    # every column exactly.
     float_above: int | None = None
     jobs: int = 1
 
@@ -80,15 +83,19 @@ def generate_table(spec: TableSpec) -> TableResult:
     jobs = []
     for r in spec.r_values:
         for m in spec.m_values:
-            use_float = (spec.algorithm is AlgorithmId.DIRECT
+            use_float = (spec.algorithm in FLOAT_ALGORITHMS
                          and spec.float_above is not None and m > spec.float_above)
             jobs.append(
                 (m, r, (spec.gamma.numerator, spec.gamma.denominator),
                  spec.algorithm.value, use_float)
             )
     if spec.jobs > 1:
+        # Largest cells first, so the longest one does not start last.
+        order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] * jobs[i][1],
+                       reverse=True)
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            values = list(pool.map(_cell_job, jobs))
+            done = dict(zip(order, pool.map(_cell_job, [jobs[i] for i in order])))
+        values = [done[i] for i in range(len(jobs))]
     else:
         values = [_cell_job(job) for job in jobs]
     ncols = len(spec.m_values)
@@ -174,6 +181,7 @@ def cross_check(max_m: int, max_n: int, max_r: int,
         for ctx in (day, counting, stirling, direct):
             ctx.extend(max_n)
         for m in range(1, max_m + 1):
+            column = ColumnContext(m, r)  # holds only its own m
             for n in range(0, max_n + 1):
                 inst = ProblemInstance(m, n, r)
                 values = {
@@ -181,6 +189,7 @@ def cross_check(max_m: int, max_n: int, max_r: int,
                     AlgorithmId.COUNTING.value: counting.prob(n, m),
                     AlgorithmId.STIRLING.value: stirling.prob(n, m),
                     AlgorithmId.DIRECT.value: direct.prob(n, m),
+                    AlgorithmId.COLUMN.value: column.prob(n),
                 }
                 if bounded_composition_count(m, n, r) <= oracle_max_compositions:
                     values[AlgorithmId.BRUTE_FORCE.value] = prob_bruteforce(inst)
@@ -215,8 +224,8 @@ class BenchReport:
     repetitions: int
     environment: str
     note: str = (
-        "expected ordering on large instances: direct(float) <= direct(exact)"
-        " <= stirling <= day <= counting (not asserted)"
+        "expected ordering on large instances: column <= direct(float)"
+        " <= direct(exact) <= stirling <= day <= counting (not asserted)"
     )
 
 

@@ -2,7 +2,9 @@ import io
 import json
 from fractions import Fraction
 
+import bbp.solvers
 from bbp.cli import run
+from bbp.stirling import NegativeCountError
 
 
 def invoke(argv):
@@ -43,7 +45,7 @@ def test_prob_dec_and_json():
 
 def test_prob_all_algorithms_agree():
     outputs = set()
-    for algo in ["day", "counting", "stirling", "direct", "brute"]:
+    for algo in ["day", "counting", "stirling", "direct", "column", "brute"]:
         code, out, _ = invoke(["prob", "-m", "4", "-n", "5", "-r", "2",
                                "--algo", algo])
         assert code == 0
@@ -140,6 +142,17 @@ def test_oracle_guard_exit_2():
     assert code == 2
     assert out == ""
     assert err.startswith("refused:")
+
+
+def test_broken_fill_exit_2(monkeypatch):
+    def broken(self, n):
+        raise NegativeCountError("planted at n=%d" % n)
+
+    monkeypatch.setattr(bbp.solvers.ColumnContext, "extend", broken)
+    code, out, err = invoke(["nmax", "-m", "10", "-r", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("refused:") and "planted" in err
 
 
 def test_bench_subcommand():

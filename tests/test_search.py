@@ -63,6 +63,7 @@ def test_result_independent_of_backing_algorithm():
                 AlgorithmId.COUNTING,
                 AlgorithmId.STIRLING,
                 AlgorithmId.DIRECT,
+                AlgorithmId.COLUMN,
             )
         }
         n_maxes = {res.n_max for res in results.values()}
@@ -100,9 +101,13 @@ def test_float_mode_matches_exact():
 
 
 def test_float_mode_requires_direct():
-    with pytest.raises(ValueError):
-        find_nmax(SearchRequest(m=10, r=1, mode=Mode.FLOAT,
-                                algorithm=AlgorithmId.COUNTING))
+    for algo in (AlgorithmId.COUNTING, AlgorithmId.STIRLING,
+                 AlgorithmId.DAY_AT_A_TIME):
+        with pytest.raises(ValueError):
+            find_nmax(SearchRequest(m=10, r=1, mode=Mode.FLOAT, algorithm=algo))
+    for algo in (AlgorithmId.DIRECT, AlgorithmId.COLUMN):
+        result = find_nmax(SearchRequest(m=10, r=2, mode=Mode.FLOAT, algorithm=algo))
+        assert result == find_nmax(SearchRequest(m=10, r=2))
 
 
 def test_monotone_in_r_and_m():

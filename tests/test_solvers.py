@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbp.solvers import (
     AlgorithmId,
+    ColumnContext,
     CountingContext,
     DirectContext,
     FloatDirectContext,
@@ -16,6 +18,7 @@ from bbp.solvers import (
     coeff_next,
     coeff_seed,
     count_T,
+    count_bruteforce,
     count_valid,
     count_valid_stirling,
     prob_bruteforce,
@@ -25,7 +28,7 @@ from bbp.solvers import (
     prob_exact,
     prob_stirling,
 )
-from bbp.stirling import restricted_stirling2
+from bbp.stirling import NegativeCountError, restricted_stirling2
 from oracles import assignments_count_exact_k, assignments_prob
 
 
@@ -203,6 +206,77 @@ def test_direct_context_counts_match_counting():
 
 
 # ---------------------------------------------------------------------------
+# Column recurrence
+
+
+def test_column_counts_match_direct_sweep():
+    for r in range(1, 6):
+        direct = DirectContext(30, r, keep_all=True)
+        direct.extend(40)
+        for m in range(1, 31):
+            column = ColumnContext(m, r)
+            for n in range(41):
+                assert column.count(n) == direct.count(n, m), (m, n, r)
+
+
+def test_column_equals_bruteforce_oracle():
+    for m in range(1, 6):
+        for r in range(1, 5):
+            column = ColumnContext(m, r)
+            for n in range(9):
+                assert column.count(n) == count_bruteforce(
+                    ProblemInstance(m, n, r)), (m, n, r)
+
+
+def test_column_closed_forms():
+    for m in range(1, 16):
+        for r in range(1, 6):
+            column = ColumnContext(m, r)
+            for n in range(m * r + 4):
+                count = column.count(n)
+                if r == 1:
+                    assert count == math.perm(m, n), (m, n)
+                if n == m * r:
+                    assert count == (math.factorial(m * r)
+                                     // math.factorial(r) ** m), (m, r)
+                if n <= r:
+                    assert count == m ** n, (m, n, r)
+                if n > m * r:
+                    assert count == 0, (m, n, r)
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 60), r=st.integers(1, 8))
+def test_column_prob_nonincreasing_in_n(m, r):
+    column = ColumnContext(m, r)
+    probs = [column.prob(n) for n in range(m * r + 3)]
+    assert probs[0] == 1 and probs[-1] == 0
+    assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+def test_column_refuses_other_m():
+    column = ColumnContext(10, 2)
+    assert column.count(5, 10) == column.count(5)
+    with pytest.raises(ValueError):
+        column.count(5, 9)
+    with pytest.raises(ValueError):
+        column.prob(5, 11)
+    with pytest.raises(ValueError):
+        ColumnContext(0, 2)
+
+
+def test_column_fill_guards_exactness():
+    # A count off by one drives the fill negative by the time it passes
+    # m*r, where every true count is 0.
+    for delta in (1, -1):
+        column = ColumnContext(3, 2)
+        column.extend(2)
+        column._counts[2] += delta
+        with pytest.raises(NegativeCountError):
+            column.extend(9)
+
+
+# ---------------------------------------------------------------------------
 # Coefficient precomputation
 
 
@@ -265,6 +339,7 @@ def test_all_exact_algorithms_agree_small_grid():
                 AlgorithmId.COUNTING,
                 AlgorithmId.STIRLING,
                 AlgorithmId.DIRECT,
+                AlgorithmId.COLUMN,
             )
         }
         assert len(set(values.values())) == 1, (m, n, r, values)

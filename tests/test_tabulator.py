@@ -69,7 +69,7 @@ def test_render_json():
     payload = json.loads(render_json(result))
     assert payload == {
         "gamma": "1/2",
-        "algorithm": "direct",
+        "algorithm": "column",
         "m_values": [3, 10],
         "r_values": [1, 2],
         "cells": [2, 4, 4, 9],
