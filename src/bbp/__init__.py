@@ -11,19 +11,12 @@ from .solvers import (
     AlgorithmId,
     InstanceTooLargeError,
     Mode,
-    ProbResult,
     ProblemInstance,
     coeff_next,
-    coeff_seed,
-    count_T,
     count_valid,
     count_valid_stirling,
     prob_bruteforce,
-    prob_counting,
-    prob_day_recurrence,
-    prob_direct,
     prob_exact,
-    prob_stirling,
 )
 from .stirling import restricted_stirling2, stirling2
 from .tabulator import (
@@ -42,7 +35,6 @@ __all__ = [
     "BenchReport",
     "InstanceTooLargeError",
     "Mode",
-    "ProbResult",
     "ProblemInstance",
     "SearchRequest",
     "SearchResult",
@@ -52,19 +44,13 @@ __all__ = [
     "benchmark",
     "binomial",
     "coeff_next",
-    "coeff_seed",
-    "count_T",
     "count_valid",
     "count_valid_stirling",
     "cross_check",
     "find_nmax",
     "generate_table",
     "prob_bruteforce",
-    "prob_counting",
-    "prob_day_recurrence",
-    "prob_direct",
     "prob_exact",
-    "prob_stirling",
     "ratio",
     "render",
     "restricted_stirling2",

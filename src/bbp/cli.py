@@ -14,15 +14,14 @@ import sys
 from .exact_arith import big_int_strings, decimal_string, parse_rational
 from .search import SearchRequest, find_nmax
 from .solvers import (
-    EXACT_ALGORITHMS,
     AlgorithmId,
+    FloatDirectContext,
     InstanceTooLargeError,
     Mode,
     ProblemInstance,
     count_bruteforce,
     count_valid,
     count_valid_stirling,
-    prob_direct,
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
@@ -98,8 +97,6 @@ def build_parser() -> _Parser:
     p.add_argument("--days", "-m", type=int, required=True)
     p.add_argument("--max-per-day", "-r", type=int, required=True)
     p.add_argument("--gamma", default="1/2")
-    p.add_argument("--algo", default="column",
-                   choices=[a.value for a in EXACT_ALGORITHMS])
     p.add_argument("--mode", default="exact", choices=["exact", "float"])
     p.add_argument("--format", default="plain", choices=["plain", "json"])
 
@@ -107,8 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--days", default="10,25,50,100,200,365,500,1000")
     p.add_argument("--max-per-day", default="1..10")
     p.add_argument("--gamma", default="1/2")
-    p.add_argument("--algo", default="column",
-                   choices=[a.value for a in EXACT_ALGORITHMS])
     p.add_argument("--format", default="markdown",
                    choices=["csv", "markdown", "json"])
     p.add_argument("--float-above", type=int, default=None, metavar="N",
@@ -144,14 +139,19 @@ def _emit_prob(args, out) -> None:
     if args.mode == "float":
         if algorithm is not AlgorithmId.DIRECT:
             raise UsageError("float mode is only available with --algo direct")
-        approx = prob_direct(inst, Mode.FLOAT, args.precision).approx
+        if inst.r >= inst.n:
+            approx = 1.0
+        elif inst.n > inst.m * inst.r:
+            approx = 0.0
+        else:
+            approx = FloatDirectContext(inst.m, inst.r, args.precision).prob(inst.n)
         if args.format == "json":
             out.write(json.dumps({
                 "m": inst.m, "n": inst.n, "r": inst.r,
-                "algorithm": algorithm.value, "approx": float(approx),
+                "algorithm": algorithm.value, "approx": approx,
             }, separators=(",", ":")) + "\n")
         else:
-            out.write(repr(float(approx)) + "\n")
+            out.write(repr(approx) + "\n")
         return
 
     p = prob_exact(inst, algorithm)
@@ -189,7 +189,6 @@ def _emit_nmax(args, out) -> None:
     gamma = parse_rational(args.gamma)
     req = SearchRequest(
         m=args.days, r=args.max_per_day, gamma=gamma,
-        algorithm=_algo(args.algo),
         mode=Mode.FLOAT if args.mode == "float" else Mode.EXACT,
     )
     result = find_nmax(req)
@@ -213,7 +212,6 @@ def _emit_table(args, out) -> None:
         m_values=_parse_int_list(args.days),
         r_values=_parse_int_list(args.max_per_day),
         gamma=parse_rational(args.gamma),
-        algorithm=_algo(args.algo),
         output_format=args.format,
         float_above=args.float_above,
         jobs=max(1, args.jobs),

@@ -2,6 +2,8 @@
 
 Counts are plain Python ints (arbitrary precision); probabilities are
 ``fractions.Fraction`` values, which are reduced eagerly on construction.
+``Layers`` is the one rolling-window store the layered fills keep their
+layers in.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+from collections import deque
 from fractions import Fraction
 
 
@@ -30,6 +33,37 @@ def big_int_strings():
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+class Layers:
+    """The layers of a fill over n = 0, 1, 2, ..., newest last.
+
+    A recurrence that looks back at most `depth` layers needs only the
+    trailing depth + 1 of them, and only those are kept unless keep_all asks
+    for every layer (sweeps that read sub-instances need that).  Reading a
+    dropped layer raises ValueError.
+    """
+
+    def __init__(self, first, depth: int, keep_all: bool = False):
+        self.n = 0  # index of the newest layer
+        self._items = deque([first], maxlen=None if keep_all else depth + 1)
+
+    def back(self, k: int):
+        """Layer n - k, or None when n - k < 0."""
+        return self._items[-1 - k] if k <= self.n else None
+
+    def append(self, layer) -> None:
+        self._items.append(layer)
+        self.n += 1
+
+    def __getitem__(self, n: int):
+        k = self.n - n
+        if n < 0 or k < 0:
+            raise IndexError("layer %d is not filled (newest is %d)" % (n, self.n))
+        if k >= len(self._items):
+            raise ValueError("layer %d was dropped (window mode keeps the last %d)"
+                             % (n, len(self._items)))
+        return self._items[-1 - k]
 
 
 def binomial(n: int, k: int) -> int:

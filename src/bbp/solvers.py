@@ -12,19 +12,23 @@ random birthdays over m days leave no day with more than r of them:
 
 All exact routes return identical reduced rationals; the brute-force route
 is the ground-truth oracle on small instances.  The column route costs
-O(r) per n whatever m is, and the n_max search runs on it; the other
-routes do O(m) work or more per n.
+O(r) per n whatever m is, and the exact n_max search runs on it; the other
+routes do O(m) work or more per n.  `prob` defaults to the direct route and
+`count` to the Stirling route; day and counting serve as cross-checks.
+
+The layered fills (counting, direct, float direct, restricted Stirling)
+keep their layers in one `exact_arith.Layers` store: the trailing window
+their recurrence looks back on, or every layer with keep_all.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact_arith import binomial
+from .exact_arith import Layers, binomial
 from .stirling import NegativeCountError, RestrictedStirling
 
 DEFAULT_ORACLE_LIMIT = 10_000_000
@@ -48,15 +52,6 @@ class Mode(Enum):
     FLOAT = "float"
 
 
-EXACT_ALGORITHMS = (
-    AlgorithmId.DAY_AT_A_TIME,
-    AlgorithmId.COUNTING,
-    AlgorithmId.STIRLING,
-    AlgorithmId.DIRECT,
-    AlgorithmId.COLUMN,
-)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     m: int  # days in the year
@@ -70,14 +65,6 @@ class ProblemInstance:
             raise ValueError("n must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-
-
-@dataclass
-class ProbResult:
-    instance: ProblemInstance
-    algorithm: AlgorithmId
-    exact: Fraction | None = None
-    approx: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +174,8 @@ class DayContext:
         return self._rows[mm][n]
 
 
-def prob_day_recurrence(inst: ProblemInstance) -> Fraction:
-    return DayContext(inst.m, inst.r).prob(inst.n)
-
-
 # ---------------------------------------------------------------------------
 # Counting recurrence T(m, n, k, r)
-
-
-def _t_guard_zero(m: int, n: int, k: int, r: int) -> bool:
-    return (
-        (n <= 0 and k > 0)
-        or (n > 0 and k <= 0)
-        or n < k
-        or n > k * r
-        or m - k + 1 <= 0
-    )
 
 
 class CountingContext:
@@ -210,46 +183,36 @@ class CountingContext:
 
     A layer holds the full (mm, kk) plane for one value of nn; the
     recurrence looks back 1 and r+1 layers, so only the trailing r+1
-    layers are retained unless keep_all is requested.  N(m, nn) sums the
-    top-mm slice over admissible kk and is recorded for every nn.
+    layers are retained unless keep_all is requested.  Inadmissible kk
+    stay 0, so N(mm, nn) is the sum of row mm; N(m, nn) is recorded for
+    every nn.
     """
 
-    def __init__(self, m: int, r: int, k_cap: int | None = None, keep_all: bool = False):
+    def __init__(self, m: int, r: int, keep_all: bool = False):
         if m < 1 or r < 1:
             raise ValueError("CountingContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self.k_cap = m if k_cap is None else min(k_cap, m)
-        self.keep_all = keep_all
-        self._n = 0
-        base = [[0] * (self.k_cap + 1) for _ in range(m + 1)]
+        base = [[0] * (m + 1) for _ in range(m + 1)]
         for mm in range(m + 1):
             base[mm][0] = 1  # T(mm, 0, 0, r) = 1
-        if keep_all:
-            self._layers: list[list[list[int]]] | deque = [base]
-        else:
-            self._layers = deque([base], maxlen=r + 2)
+        self._layers = Layers(base, r, keep_all)
         self._n_sums = [1]  # N(m, nn) history
 
-    def _layer(self, back: int):
-        return self._layers[-1 - back]
-
     def extend(self, n: int) -> None:
-        m, r, k_cap = self.m, self.r, self.k_cap
-        while self._n < n:
-            nn = self._n + 1
-            prev = self._layer(0)
-            back = self._layer(r) if nn - 1 - r >= 0 else None
-            c = binomial(nn - 1, r) if nn - 1 >= r else 0
-            layer = [[0] * (k_cap + 1) for _ in range(m + 1)]
+        m, r, layers = self.m, self.r, self._layers
+        while layers.n < n:
+            nn = layers.n + 1
+            prev, back = layers.back(0), layers.back(r)
+            c = binomial(nn - 1, r)
+            layer = [[0] * (m + 1) for _ in range(m + 1)]
             for mm in range(1, m + 1):
-                row = layer[mm]
-                prow = prev[mm]
-                brow = back[mm - 1] if back is not None else None
-                for kk in range(1, min(mm, nn, k_cap) + 1):
-                    if _t_guard_zero(mm, nn, kk, r):
-                        continue
+                row, prow = layer[mm], prev[mm]
+                brow = back[mm - 1] if c else None
+                for kk in range(1, min(mm, nn) + 1):
+                    if nn > kk * r:
+                        continue  # kk days cannot hold nn birthdays
                     val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk]
-                    if c and brow is not None:
+                    if c:
                         val -= mm * c * brow[kk - 1]
                     if val < 0:
                         raise NegativeCountError(
@@ -257,52 +220,26 @@ class CountingContext:
                             % (mm, nn, kk, r)
                         )
                     row[kk] = val
-            self._layers.append(layer)
-            self._n = nn
-            lo = -(-nn // r)  # ceil(nn / r)
-            hi = min(m, nn, k_cap)
-            self._n_sums.append(sum(layer[m][lo : hi + 1]))
+            layers.append(layer)
+            self._n_sums.append(sum(layer[m]))
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
-        """T(mm, nn, kk, r); requires keep_all (or nn at the frontier)."""
-        if kk < 0 or kk > self.k_cap:
+        """T(mm, nn, kk, r); layers behind the window raise ValueError."""
+        if kk < 0 or kk > self.m:
             return 0
         self.extend(nn)
-        if self.keep_all:
-            return self._layers[nn][mm][kk]
-        if nn != self._n:
-            raise ValueError("layer %d was dropped (window mode)" % nn)
-        return self._layers[-1][mm][kk]
+        return self._layers[nn][mm][kk]
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(mm, n) = sum over kk of T(mm, n, kk, r)."""
         self.extend(n)
         if mm is None or mm == self.m:
             return self._n_sums[n]
-        if n == 0:
-            return 1
-        layer = self.t_value  # forces keep_all semantics via t_value checks
-        lo = -(-n // self.r)
-        hi = min(mm, n, self.k_cap)
-        return sum(layer(mm, n, kk) for kk in range(lo, hi + 1))
+        return sum(self._layers[n][mm])
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
         mm = self.m if mm is None else mm
         return Fraction(self.count(n, mm), mm ** n)
-
-
-def count_T(m: int, n: int, k: int, r: int) -> int:
-    """T(m, n, k, r): assignments of n birthdays to exactly k of m days,
-    none exceeding r."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n == 0 and k == 0:
-        return 1
-    if m < 1 or n < 0 or _t_guard_zero(m, n, k, r):
-        return 0
-    ctx = CountingContext(m, r, k_cap=k)
-    ctx.extend(n)
-    return ctx.t_value(m, n, k)
 
 
 def count_valid(inst: ProblemInstance) -> int:
@@ -311,10 +248,6 @@ def count_valid(inst: ProblemInstance) -> int:
     if inst.n > inst.m * inst.r:
         return 0
     return CountingContext(inst.m, inst.r).count(inst.n)
-
-
-def prob_counting(inst: ProblemInstance) -> Fraction:
-    return Fraction(count_valid(inst), inst.m ** inst.n)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +265,6 @@ class StirlingContext:
         if m < 1 or r < 1:
             raise ValueError("StirlingContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self.keep_all = keep_all
         self._table = RestrictedStirling(r, k_cap=m, keep_all=keep_all)
         self._counts = [1]  # N(m, nn) history
 
@@ -361,8 +293,6 @@ class StirlingContext:
         self.extend(n)
         if mm == self.m:
             return self._counts[n]
-        if not self.keep_all:
-            raise ValueError("sub-m counts require keep_all=True")
         return self._sum_row(self._table.row(n), n, mm)
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
@@ -374,28 +304,15 @@ def count_valid_stirling(inst: ProblemInstance) -> int:
     return StirlingContext(inst.m, inst.r).count(inst.n)
 
 
-def prob_stirling(inst: ProblemInstance) -> Fraction:
-    return Fraction(count_valid_stirling(inst), inst.m ** inst.n)
-
-
 # ---------------------------------------------------------------------------
 # Direct probability recurrence
-
-
-def coeff_seed(m: int, r: int):
-    """The first nonzero correction coefficient, at index n = r + 1.
-
-    C(r, r) * (m-1)**0 / m**r == 1 / m**r.
-    """
-    if m < 1 or r < 1:
-        raise ValueError("coeff_seed requires m >= 1 and r >= 1")
-    return Fraction(1, m ** r)
 
 
 def coeff_next(prev_coeff, m: int, n: int, r: int):
     """Step the correction coefficient from index n-1 to index n.
 
-    Valid only for n >= r + 2; the seed at n = r + 1 is coeff_seed.
+    Valid only for n >= r + 2; the seed at n = r + 1 is
+    C(r, r) * (m-1)**0 / m**r == 1 / m**r.
     Works for exact (Fraction) and floating-point coefficients alike.
     """
     if n < r + 2:
@@ -420,36 +337,31 @@ class DirectContext:
         T(mm, nn) = mm * T(mm, nn-1) - mm * C(nn-1, r) * T(mm-1, nn-1-r)
 
     Layers over nn hold all mm at once; the trailing r+1 layers are kept
-    plus the full top-row (mm = m) history, so a search can query any
-    already-filled n.  The table only ever grows in n.
+    (every layer with keep_all) plus the full top-row (mm = m) history, so
+    a search can query any already-filled n.  The table only ever grows in
+    n.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         if m < 1 or r < 1:
             raise ValueError("DirectContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self.keep_all = keep_all
-        self._n = 0
-        base = [1] * (m + 1)  # T(mm, 0) = 1, including mm = 0
-        if keep_all:
-            self._layers: list[list[int]] | deque = [base]
-        else:
-            self._layers = deque([base], maxlen=r + 1)
+        # T(mm, 0) = 1, including mm = 0
+        self._layers = Layers([1] * (m + 1), r, keep_all)
         self._top = [1]
 
     def extend(self, n: int) -> None:
-        m, r = self.m, self.r
-        while self._n < n:
-            nn = self._n + 1
-            prev = self._layers[-1]
-            back = self._layers[-1 - r] if nn - 1 - r >= 0 else None
-            c = binomial(nn - 1, r) if nn - 1 >= r else 0
+        m, r, layers = self.m, self.r, self._layers
+        while layers.n < n:
+            nn = layers.n + 1
+            prev, back = layers.back(0), layers.back(r)
+            c = binomial(nn - 1, r)
             layer = [0] * (m + 1)
             for mm in range(1, m + 1):
                 if nn > mm * r:
                     continue  # impossible by pigeonhole
                 val = mm * prev[mm]
-                if c and back is not None:
+                if c:
                     val -= mm * c * back[mm - 1]
                     if val < 0:
                         raise NegativeCountError(
@@ -457,16 +369,13 @@ class DirectContext:
                             % (mm, nn, r)
                         )
                 layer[mm] = val
-            self._layers.append(layer)
-            self._n = nn
+            layers.append(layer)
             self._top.append(layer[m])
 
     def count(self, n: int, mm: int | None = None) -> int:
         self.extend(n)
         if mm is None or mm == self.m:
             return self._top[n]
-        if not self.keep_all:
-            raise ValueError("sub-m counts require keep_all=True")
         return self._layers[n][mm]
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
@@ -503,18 +412,16 @@ class FloatDirectContext:
             self._num = self._mp.mpf
         one, zero = self._num(1), self._num(0)
         self._one, self._zero = one, zero
-        self._n = 0
-        self._layers: deque[list] = deque([[one] * (m + 1)], maxlen=r + 1)
+        self._layers = Layers([one] * (m + 1), r)
         self._top = [one]
         self._coeffs: list = [zero] * (m + 1)  # c(mm, nn) for the next step
 
     def extend(self, n: int) -> None:
-        m, r = self.m, self.r
+        m, r, layers = self.m, self.r, self._layers
         num = self._num
-        while self._n < n:
-            nn = self._n + 1
-            prev = self._layers[-1]
-            back = self._layers[-1 - r] if nn - 1 - r >= 0 else None
+        while layers.n < n:
+            nn = layers.n + 1
+            prev, back = layers.back(0), layers.back(r)
             coeffs = self._coeffs
             if nn == r + 1:
                 for mm in range(1, m + 1):
@@ -532,8 +439,7 @@ class FloatDirectContext:
                     if val < 0:
                         val = self._zero
                 layer[mm] = val
-            self._layers.append(layer)
-            self._n = nn
+            layers.append(layer)
             self._top.append(layer[m])
 
     def prob(self, n: int, mm: int | None = None) -> float:
@@ -551,34 +457,12 @@ class FloatDirectContext:
         rows: list[list[float]] = [[1.0] * (n + 1) for _ in range(self.m + 1)]
         for nn in range(1, n + 1):
             fresh.extend(nn)
-            layer = fresh._layers[-1]
+            layer = fresh._layers[nn]
             for mm in range(self.m + 1):
                 rows[mm][nn] = min(max(float(layer[mm]), 0.0), 1.0)
         for nn in range(1, n + 1):
             rows[0][nn] = 0.0
         return rows
-
-
-def prob_direct(inst: ProblemInstance, mode: Mode = Mode.EXACT,
-                precision: int | None = None) -> ProbResult:
-    """P(m, n, r) by the direct recurrence, exact or floating point."""
-    m, n, r = inst.m, inst.n, inst.r
-    result = ProbResult(instance=inst, algorithm=AlgorithmId.DIRECT)
-    if mode is Mode.EXACT:
-        if r >= n:
-            result.exact = Fraction(1)
-        elif n > m * r:
-            result.exact = Fraction(0)
-        else:
-            result.exact = DirectContext(m, r).prob(n)
-    else:
-        if r >= n:
-            result.approx = 1.0
-        elif n > m * r:
-            result.approx = 0.0
-        else:
-            result.approx = FloatDirectContext(m, r, precision).prob(n)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +529,16 @@ class ColumnContext:
 # Dispatch
 
 
-def make_context(m: int, r: int, algorithm: AlgorithmId, keep_all: bool = False):
+def make_context(m: int, r: int, algorithm: AlgorithmId):
     """A reusable probability context for the given exact algorithm."""
     if algorithm is AlgorithmId.DAY_AT_A_TIME:
         return DayContext(m, r)
     if algorithm is AlgorithmId.COUNTING:
-        return CountingContext(m, r, keep_all=keep_all)
+        return CountingContext(m, r)
     if algorithm is AlgorithmId.STIRLING:
-        return StirlingContext(m, r, keep_all=keep_all)
+        return StirlingContext(m, r)
     if algorithm is AlgorithmId.DIRECT:
-        return DirectContext(m, r, keep_all=keep_all)
+        return DirectContext(m, r)
     if algorithm is AlgorithmId.COLUMN:
         return ColumnContext(m, r)
     raise ValueError("no incremental context for %s" % algorithm)

@@ -7,9 +7,7 @@ bottom-up; recursion depth must never bind since n reaches the thousands.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .exact_arith import binomial
+from .exact_arith import Layers, binomial
 
 
 class NegativeCountError(RuntimeError):
@@ -55,58 +53,43 @@ class RestrictedStirling:
             raise ValueError("restriction r must be >= 1")
         self.r = r
         self.k_cap = k_cap
-        self.keep_all = keep_all
-        self._n = 0
         first = self._row_list(0)
         first[0] = 1
-        if keep_all:
-            self._rows: list[list[int]] | deque[list[int]] = [first]
-        else:
-            self._rows = deque([first], maxlen=r + 1)
+        self._rows = Layers(first, r, keep_all)
 
     def _row_list(self, n: int) -> list[int]:
         width = n if self.k_cap is None else min(n, self.k_cap)
         return [0] * (width + 1)
 
-    def _get(self, back: int, k: int) -> int:
-        # Row `self._n - back`, entry k; out-of-range k is structurally zero.
-        row = self._rows[-1 - back]
-        if k < 0 or k >= len(row):
-            return 0
-        return row[k]
-
     def extend(self, n: int) -> None:
-        r = self.r
-        while self._n < n:
-            nn = self._n + 1
+        r, rows = self.r, self._rows
+        while rows.n < n:
+            nn = rows.n + 1
             row = self._row_list(nn)
-            c = binomial(nn - 1, r) if nn - 1 >= r else 0
+            prev, back = rows.back(0), rows.back(r)
+            c = binomial(nn - 1, r)
+            # Entries past the end of a shorter row are structurally zero.
+            len_prev, len_back = len(prev), len(back) if c else 0
             for k in range(1, len(row)):
                 if nn > k * r:
                     continue
-                val = self._get(0, k - 1) + k * self._get(0, k)
-                if c and nn - 1 - r >= 0:
-                    val -= c * self._get(r, k - 1)
+                val = prev[k - 1]
+                if k < len_prev:
+                    val += k * prev[k]
+                if k <= len_back:
+                    val -= c * back[k - 1]
                 if val < 0:
                     raise NegativeCountError(
                         "restricted Stirling fill went negative at n=%d k=%d r=%d"
                         % (nn, k, r)
                     )
                 row[k] = val
-            self._rows.append(row)
-            self._n = nn
+            rows.append(row)
 
     def row(self, n: int) -> list[int]:
         """Values {n, k} for k = 0..min(n, k_cap)."""
         self.extend(n)
-        if self.keep_all:
-            return self._rows[n]
-        if n != self._n:
-            raise ValueError(
-                "row %d was dropped (window mode keeps the last %d rows)"
-                % (n, self.r + 1)
-            )
-        return self._rows[-1]
+        return self._rows[n]
 
     def value(self, n: int, k: int) -> int:
         row = self.row(n)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .search import FLOAT_ALGORITHMS, SearchRequest, find_nmax
+from .search import SearchRequest, find_nmax
 from .solvers import (
     AlgorithmId,
     ColumnContext,
@@ -42,11 +42,9 @@ class TableSpec:
     m_values: list[int] = field(default_factory=lambda: list(PAPER_M_VALUES))
     r_values: list[int] = field(default_factory=lambda: list(PAPER_R_VALUES))
     gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    algorithm: AlgorithmId = AlgorithmId.COLUMN
     output_format: str = "markdown"  # csv | markdown | json
-    # With the direct or column algorithm, columns with m above this are
-    # searched in float mode first; the answers stay exact.  None searches
-    # every column exactly.
+    # Columns with m above this are searched in float mode first; the
+    # answers stay exact.  None searches every column exactly.
     float_above: int | None = None
     jobs: int = 1
 
@@ -67,13 +65,12 @@ class TableResult:
 
 
 def _cell_job(args):
-    m, r, gamma_nd, algorithm_name, use_float = args
+    m, r, gamma_nd, use_float = args
     gamma = Fraction(*gamma_nd)
     req = SearchRequest(
         m=m,
         r=r,
         gamma=gamma,
-        algorithm=AlgorithmId(algorithm_name),
         mode=Mode.FLOAT if use_float else Mode.EXACT,
     )
     return find_nmax(req).n_max
@@ -83,11 +80,9 @@ def generate_table(spec: TableSpec) -> TableResult:
     jobs = []
     for r in spec.r_values:
         for m in spec.m_values:
-            use_float = (spec.algorithm in FLOAT_ALGORITHMS
-                         and spec.float_above is not None and m > spec.float_above)
+            use_float = spec.float_above is not None and m > spec.float_above
             jobs.append(
-                (m, r, (spec.gamma.numerator, spec.gamma.denominator),
-                 spec.algorithm.value, use_float)
+                (m, r, (spec.gamma.numerator, spec.gamma.denominator), use_float)
             )
     if spec.jobs > 1:
         # Largest cells first, so the longest one does not start last.
@@ -125,7 +120,7 @@ def render_json(result: TableResult) -> str:
     spec = result.spec
     payload = {
         "gamma": "%d/%d" % (spec.gamma.numerator, spec.gamma.denominator),
-        "algorithm": spec.algorithm.value,
+        "algorithm": AlgorithmId.COLUMN.value,  # the exact search's solver
         "m_values": spec.m_values,
         "r_values": spec.r_values,
         "cells": [v for row in result.cells for v in row],

@@ -60,6 +60,10 @@ def test_prob_float_mode():
     _, exact_out, _ = invoke(["prob", "-m", "365", "-n", "23", "-r", "1"])
     num, den = (int(x) for x in exact_out.strip().split("/"))
     assert abs(float(out) - num / den) < 1e-9
+    # Shortcuts: no fill when n > m*r (pigeonhole) or r >= n (cap never binds).
+    for argv, want in [(["-m", "5", "-n", "400", "-r", "2"], "0.0\n"),
+                       (["-m", "50", "-n", "2", "-r", "3"], "1.0\n")]:
+        assert invoke(["prob"] + argv + ["--mode", "float"]) == (0, want, "")
 
 
 def test_count_subcommand():
@@ -128,6 +132,8 @@ def test_usage_errors_exit_1():
         ["nmax", "-m", "10", "-r", "1", "--gamma", "0.5"],    # float threshold
         ["nmax", "-m", "10", "-r", "1", "--gamma", "2"],      # gamma > 1
         ["prob", "-m", "0", "-n", "2", "-r", "1"],            # bad instance
+        ["nmax", "-m", "10", "-r", "1", "--algo", "stirling"],  # no search choice
+        ["table", "--algo", "day"],
         ["frobnicate"],
     ]:
         code, out, err = invoke(argv)

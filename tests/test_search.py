@@ -53,25 +53,6 @@ def test_certificates_verified_independently():
         assert certificate_holds(m, r, gamma, result), (m, r)
 
 
-def test_result_independent_of_backing_algorithm():
-    for m, r, gamma in [(10, 2, Fraction(1, 2)), (12, 3, Fraction(9, 10)),
-                        (8, 1, Fraction(1, 4))]:
-        results = {
-            algo: find_nmax(SearchRequest(m=m, r=r, gamma=gamma, algorithm=algo))
-            for algo in (
-                AlgorithmId.DAY_AT_A_TIME,
-                AlgorithmId.COUNTING,
-                AlgorithmId.STIRLING,
-                AlgorithmId.DIRECT,
-                AlgorithmId.COLUMN,
-            )
-        }
-        n_maxes = {res.n_max for res in results.values()}
-        assert len(n_maxes) == 1, (m, r, gamma, results)
-        certs = {(res.p_at_nmax, res.p_at_nmax_plus_1) for res in results.values()}
-        assert len(certs) == 1
-
-
 def test_gamma_one():
     # P(m, r, r) = 1 and P(m, r+1, r) < 1 for m >= 2.
     for m in (2, 5, 30):
@@ -98,16 +79,6 @@ def test_float_mode_matches_exact():
         # The float path must still deliver an exact certificate.
         assert fast.p_at_nmax == exact.p_at_nmax
         assert fast.p_at_nmax_plus_1 == exact.p_at_nmax_plus_1
-
-
-def test_float_mode_requires_direct():
-    for algo in (AlgorithmId.COUNTING, AlgorithmId.STIRLING,
-                 AlgorithmId.DAY_AT_A_TIME):
-        with pytest.raises(ValueError):
-            find_nmax(SearchRequest(m=10, r=1, mode=Mode.FLOAT, algorithm=algo))
-    for algo in (AlgorithmId.DIRECT, AlgorithmId.COLUMN):
-        result = find_nmax(SearchRequest(m=10, r=2, mode=Mode.FLOAT, algorithm=algo))
-        assert result == find_nmax(SearchRequest(m=10, r=2))
 
 
 def test_monotone_in_r_and_m():

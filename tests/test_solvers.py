@@ -8,25 +8,20 @@ from bbp.solvers import (
     AlgorithmId,
     ColumnContext,
     CountingContext,
+    DayContext,
     DirectContext,
     FloatDirectContext,
     InstanceTooLargeError,
-    Mode,
     ProblemInstance,
+    StirlingContext,
     bounded_composition_count,
     coeff_direct,
     coeff_next,
-    coeff_seed,
-    count_T,
     count_bruteforce,
     count_valid,
     count_valid_stirling,
     prob_bruteforce,
-    prob_counting,
-    prob_day_recurrence,
-    prob_direct,
     prob_exact,
-    prob_stirling,
 )
 from bbp.stirling import NegativeCountError, restricted_stirling2
 from oracles import assignments_count_exact_k, assignments_prob
@@ -84,20 +79,18 @@ def test_bounded_composition_count():
 
 
 def test_day_recurrence_base_cases():
-    assert prob_day_recurrence(ProblemInstance(1, 5, 3)) == 0
-    assert prob_day_recurrence(ProblemInstance(1, 3, 3)) == 1
-    assert prob_day_recurrence(ProblemInstance(7, 0, 2)) == 1
-    assert prob_day_recurrence(ProblemInstance(4, 4, 4)) == 1
+    assert DayContext(1, 3).prob(5) == 0
+    assert DayContext(1, 3).prob(3) == 1
+    assert DayContext(7, 2).prob(0) == 1
+    assert DayContext(4, 4).prob(4) == 1
 
 
 def test_day_recurrence_equals_oracle():
-    assert prob_day_recurrence(ProblemInstance(3, 2, 1)) == Fraction(2, 3)
+    assert DayContext(3, 1).prob(2) == Fraction(2, 3)
     for m in range(1, 5):
         for n in range(0, 6):
             for r in range(1, 4):
-                assert prob_day_recurrence(
-                    ProblemInstance(m, n, r)
-                ) == assignments_prob(m, n, r), (m, n, r)
+                assert DayContext(m, r).prob(n) == assignments_prob(m, n, r), (m, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +98,25 @@ def test_day_recurrence_equals_oracle():
 
 
 def test_count_T_examples():
-    # Frozen from assignment enumeration restricted to exactly k used days.
+    # Frozen from assignment enumeration restricted to exactly k used days;
+    # T(m, n, k, r) is read at the frontier of a fresh window-mode context.
     assert assignments_count_exact_k(3, 2, 2, 1) == 6
-    assert count_T(3, 2, 2, 1) == 6
+    assert CountingContext(3, 1).t_value(3, 2, 2) == 6
     assert assignments_count_exact_k(2, 4, 2, 2) == 6
-    assert count_T(2, 4, 2, 2) == 6  # subtraction branch active
-    assert count_T(2, 3, 2, 1) == 0  # n > k*r
-    assert count_T(3, 0, 0, 2) == 1
-    assert count_T(3, 2, 0, 2) == 0
-    assert count_T(2, 3, 3, 2) == 0  # k > m
+    assert CountingContext(2, 2).t_value(2, 4, 2) == 6  # subtraction branch active
+    assert CountingContext(2, 1).t_value(2, 3, 2) == 0  # n > k*r
+    assert CountingContext(3, 2).t_value(3, 0, 0) == 1
+    assert CountingContext(3, 2).t_value(3, 2, 0) == 0
+    assert CountingContext(2, 2).t_value(2, 3, 3) == 0  # k > m
 
 
 def test_count_T_matches_assignment_enumeration():
     for m in range(1, 4):
-        for n in range(0, 5):
-            for k in range(0, n + 2):
-                for r in range(1, 4):
-                    assert count_T(m, n, k, r) == assignments_count_exact_k(
+        for r in range(1, 4):
+            ctx = CountingContext(m, r, keep_all=True)
+            for n in range(0, 5):
+                for k in range(0, n + 2):
+                    assert ctx.t_value(m, n, k) == assignments_count_exact_k(
                         m, n, k, r
                     ), (m, n, k, r)
 
@@ -133,9 +128,9 @@ def test_count_valid_examples():
 
 
 def test_prob_counting_examples():
-    assert prob_counting(ProblemInstance(3, 2, 1)) == Fraction(2, 3)
-    assert prob_counting(ProblemInstance(2, 3, 2)) == Fraction(3, 4)
-    assert prob_counting(ProblemInstance(7, 0, 1)) == 1
+    assert CountingContext(3, 1).prob(2) == Fraction(2, 3)
+    assert CountingContext(2, 2).prob(3) == Fraction(3, 4)
+    assert CountingContext(7, 1).prob(0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +147,19 @@ def test_count_valid_stirling_examples():
 
 
 def test_prob_stirling_examples():
-    assert prob_stirling(ProblemInstance(3, 2, 1)) == Fraction(2, 3)
-    assert prob_stirling(ProblemInstance(2, 4, 2)) == Fraction(3, 8)
-    assert prob_stirling(ProblemInstance(1, 1, 1)) == 1
+    assert StirlingContext(3, 1).prob(2) == Fraction(2, 3)
+    assert StirlingContext(2, 2).prob(4) == Fraction(3, 8)
+    assert StirlingContext(1, 1).prob(1) == 1
 
 
 def test_structural_identity_small():
     # T(m, n, k, r) == C(m, k) * k! * {n, k}_{<=r}
     for m in range(1, 7):
-        for n in range(0, 8):
-            for k in range(0, min(m, n) + 1):
-                for r in range(1, 4):
-                    assert count_T(m, n, k, r) == math.comb(m, k) * math.factorial(
+        for r in range(1, 4):
+            ctx = CountingContext(m, r, keep_all=True)
+            for n in range(0, 8):
+                for k in range(0, min(m, n) + 1):
+                    assert ctx.t_value(m, n, k) == math.comb(m, k) * math.factorial(
                         k
                     ) * restricted_stirling2(n, k, r), (m, n, k, r)
 
@@ -173,28 +169,29 @@ def test_structural_identity_small():
 
 
 def test_prob_direct_examples():
-    assert prob_direct(ProblemInstance(2, 3, 2)).exact == Fraction(3, 4)
-    assert prob_direct(ProblemInstance(10, 200, 1)).exact == 0  # pigeonhole
-    assert prob_direct(ProblemInstance(6, 2, 4)).exact == 1  # cap never binds
+    assert DirectContext(2, 2).prob(3) == Fraction(3, 4)
+    assert DirectContext(10, 1).prob(200) == 0  # pigeonhole
+    assert DirectContext(6, 4).prob(2) == 1  # cap never binds
 
 
 def test_prob_direct_classic_birthday_boundary():
-    p22 = prob_direct(ProblemInstance(365, 22, 1)).exact
-    p23 = prob_direct(ProblemInstance(365, 23, 1)).exact
-    assert p22 >= Fraction(1, 2)
-    assert p23 < Fraction(1, 2)
+    ctx = DirectContext(365, 1)
+    assert ctx.prob(22) >= Fraction(1, 2)
+    assert ctx.prob(23) < Fraction(1, 2)
 
 
 def test_direct_equals_oracle():
     for m in range(1, 5):
         for n in range(0, 6):
             for r in range(1, 4):
-                assert prob_direct(ProblemInstance(m, n, r)).exact == assignments_prob(
+                assert DirectContext(m, r).prob(n) == assignments_prob(
                     m, n, r
                 ), (m, n, r)
 
 
 def test_direct_context_counts_match_counting():
+    # 25 = 5**2 by hand: no day can hold 3 of 2 birthdays.
+    assert CountingContext(5, 2).count(2) == 25
     for r in (1, 2, 3):
         direct = DirectContext(6, r, keep_all=True)
         counting = CountingContext(6, r, keep_all=True)
@@ -203,6 +200,11 @@ def test_direct_context_counts_match_counting():
         for m in range(1, 7):
             for n in range(0, 11):
                 assert direct.count(n, m) == counting.count(n, m), (m, n, r)
+            # Window mode, read at the frontier of fresh contexts.
+            for n in range(0, 11):
+                frontier = DirectContext(m, r).count(n)
+                assert CountingContext(m, r).count(n) == frontier, (m, n, r)
+                assert frontier == direct.count(n, m), (m, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +284,11 @@ def test_column_fill_guards_exactness():
 
 def test_coeff_seed_and_steps():
     # Seed: m=3, r=1, n=2 -> C(1,1) * 2**0 / 3**1 = 1/3.
-    assert coeff_seed(3, 1) == Fraction(1, 3) == coeff_direct(3, 2, 1)
+    assert coeff_direct(3, 2, 1) == Fraction(1, 3)
     # Step: m=3, r=1, n=3 -> (2/1)*(2/3)*(1/3) = 4/9 = C(2,1)*2/3**2.
     assert coeff_next(Fraction(1, 3), 3, 3, 1) == Fraction(4, 9) == coeff_direct(3, 3, 1)
     # Step: m=2, r=2, n=4 -> (3/1)*(1/2)*(1/4) = 3/8 = C(3,2)*1/2**3.
-    assert coeff_seed(2, 2) == Fraction(1, 4)
+    assert coeff_direct(2, 3, 2) == Fraction(1, 4)
     assert coeff_next(Fraction(1, 4), 2, 4, 2) == Fraction(3, 8) == coeff_direct(2, 4, 2)
 
 
@@ -298,7 +300,7 @@ def test_coeff_next_rejects_early_indices():
 def test_coeff_chain_matches_direct_evaluation():
     for m in range(1, 21):
         for r in range(1, 6):
-            c = coeff_seed(m, r)
+            c = Fraction(1, m ** r)  # the seed at n = r + 1
             assert c == coeff_direct(m, r + 1, r), (m, r)
             for n in range(r + 2, 61):
                 c = coeff_next(c, m, n, r)
@@ -317,10 +319,10 @@ def test_float_mode_matches_exact_small():
 
 
 def test_float_mode_extended_precision():
-    res = prob_direct(ProblemInstance(365, 23, 1), Mode.FLOAT, precision=200)
-    exact = prob_direct(ProblemInstance(365, 23, 1)).exact
-    assert abs(res.approx - float(exact)) < 1e-12
-    assert 0.0 <= res.approx <= 1.0
+    approx = FloatDirectContext(365, 1, precision=200).prob(23)
+    exact = DirectContext(365, 1).prob(23)
+    assert abs(approx - float(exact)) < 1e-12
+    assert 0.0 <= approx <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def test_probability_range_and_degenerate_cases():
     for m in range(1, 7):
         for n in range(0, 10):
             for r in range(1, 4):
-                p = prob_direct(ProblemInstance(m, n, r)).exact
+                p = DirectContext(m, r).prob(n)
                 assert 0 <= p <= 1
                 if r >= n:
                     assert p == 1
@@ -370,6 +372,6 @@ def test_monotonicity_small():
     for m in range(1, 9):
         for n in range(0, 13):
             for r in (1, 2):
-                a = prob_direct(ProblemInstance(m, n, r)).exact
-                b = prob_direct(ProblemInstance(m, n, r + 1)).exact
+                a = DirectContext(m, r).prob(n)
+                b = DirectContext(m, r + 1).prob(n)
                 assert a <= b  # nondecreasing in r

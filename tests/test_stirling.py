@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from bbp.solvers import CountingContext, DirectContext, StirlingContext
 from bbp.stirling import RestrictedStirling, restricted_stirling2, stirling2
 from oracles import partition_count, set_partitions
 
@@ -74,15 +75,37 @@ def test_monotone_in_r():
                 )
 
 
-def test_window_mode_matches_keep_all():
-    r = 3
-    full = RestrictedStirling(r, k_cap=10, keep_all=True)
+# Every windowed fill, built with keep_all on or off, and a read of layer n
+# that covers sub-m entries (the top-m history never drops).
+WINDOWED = {
+    "RestrictedStirling": (
+        lambda keep_all: RestrictedStirling(3, k_cap=20, keep_all=keep_all),
+        lambda ctx, n: ctx.row(n)),
+    "CountingContext": (
+        lambda keep_all: CountingContext(20, 3, keep_all=keep_all),
+        lambda ctx, n: [ctx.count(n, mm) for mm in range(1, 21)]),
+    "DirectContext": (
+        lambda keep_all: DirectContext(20, 3, keep_all=keep_all),
+        lambda ctx, n: [ctx.count(n, mm) for mm in range(1, 21)]),
+    "StirlingContext": (
+        lambda keep_all: StirlingContext(20, 3, keep_all=keep_all),
+        lambda ctx, n: [ctx.count(n, mm) for mm in range(1, 21)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_window_mode_matches_keep_all(name):
+    make, read = WINDOWED[name]
+    full, rolling = make(True), make(False)
     full.extend(40)
-    rolling = RestrictedStirling(r, k_cap=10)
     rolling.extend(40)
-    assert rolling.row(40) == full.row(40)
-    with pytest.raises(ValueError):
-        rolling.row(5)
+    assert any(read(full, 40))
+    # r = 3 looks back 4 layers, so the window holds n = 37..40.
+    for n in (37, 40):
+        assert read(rolling, n) == read(full, n)
+    for n in (36, 5):
+        with pytest.raises(ValueError):
+            read(rolling, n)
 
 
 def test_rejects_bad_arguments():

@@ -90,12 +90,6 @@ def test_deterministic_across_parallelism():
     assert serial == parallel
 
 
-def test_table_with_other_algorithms():
-    for algo in (AlgorithmId.STIRLING, AlgorithmId.DAY_AT_A_TIME):
-        result = generate_table(small_spec(algorithm=algo))
-        assert result.cells == [[2, 4], [4, 9]]
-
-
 def test_cross_check_base_cases():
     report = cross_check(1, 3, 2)
     assert report.passed
