@@ -1,8 +1,8 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
-benchmark timeout, a recurrence that lost exactness).  Diagnostics go to
-stderr, results to stdout.
+benchmark timeout, a recurrence that lost exactness, out of memory).
+Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from .exact_arith import big_int_strings, decimal_string, parse_rational
 from .search import SearchRequest, find_nmax
 from .solvers import (
     AlgorithmId,
-    FloatDirectContext,
     InstanceTooLargeError,
-    Mode,
     ProblemInstance,
     count_bruteforce,
     count_valid,
@@ -81,10 +79,9 @@ def build_parser() -> _Parser:
     instance_flags(p)
     p.add_argument("--algo", default="direct",
                    choices=[a.value for a in AlgorithmId])
-    p.add_argument("--mode", default="exact", choices=["exact", "float"])
-    p.add_argument("--precision", type=int, default=None,
-                   help="mantissa bits for float mode (default: doubles)")
-    p.add_argument("--format", default="frac", choices=["frac", "dec", "json"])
+    p.add_argument("--format", default="frac",
+                   choices=["frac", "dec", "float", "json"],
+                   help="float is the exact value rounded to the nearest double")
     p.add_argument("--digits", type=int, default=12)
 
     p = sub.add_parser("count", help="number of valid configurations")
@@ -97,7 +94,6 @@ def build_parser() -> _Parser:
     p.add_argument("--days", "-m", type=int, required=True)
     p.add_argument("--max-per-day", "-r", type=int, required=True)
     p.add_argument("--gamma", default="1/2")
-    p.add_argument("--mode", default="exact", choices=["exact", "float"])
     p.add_argument("--format", default="plain", choices=["plain", "json"])
 
     p = sub.add_parser("table", help="n_max grid over days and caps")
@@ -136,29 +132,13 @@ def build_parser() -> _Parser:
 def _emit_prob(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
     algorithm = _algo(args.algo)
-    if args.mode == "float":
-        if algorithm is not AlgorithmId.DIRECT:
-            raise UsageError("float mode is only available with --algo direct")
-        if inst.r >= inst.n:
-            approx = 1.0
-        elif inst.n > inst.m * inst.r:
-            approx = 0.0
-        else:
-            approx = FloatDirectContext(inst.m, inst.r, args.precision).prob(inst.n)
-        if args.format == "json":
-            out.write(json.dumps({
-                "m": inst.m, "n": inst.n, "r": inst.r,
-                "algorithm": algorithm.value, "approx": approx,
-            }, separators=(",", ":")) + "\n")
-        else:
-            out.write(repr(approx) + "\n")
-        return
-
     p = prob_exact(inst, algorithm)
     if args.format == "frac":
         out.write("%d/%d\n" % (p.numerator, p.denominator))
     elif args.format == "dec":
         out.write(decimal_string(p, args.digits) + "\n")
+    elif args.format == "float":
+        out.write(repr(float(p)) + "\n")  # int / int rounds correctly
     else:
         out.write(json.dumps({
             "m": inst.m, "n": inst.n, "r": inst.r,
@@ -187,11 +167,7 @@ def _emit_count(args, out) -> None:
 
 def _emit_nmax(args, out) -> None:
     gamma = parse_rational(args.gamma)
-    req = SearchRequest(
-        m=args.days, r=args.max_per_day, gamma=gamma,
-        mode=Mode.FLOAT if args.mode == "float" else Mode.EXACT,
-    )
-    result = find_nmax(req)
+    result = find_nmax(SearchRequest(m=args.days, r=args.max_per_day, gamma=gamma))
     if args.format == "json":
         out.write(json.dumps({
             "m": args.days, "r": args.max_per_day,
@@ -252,8 +228,6 @@ def _emit_bench(args, out) -> int:
     for row in report.rows:
         inst = row.instance
         label = row.algorithm.value
-        if row.algorithm is AlgorithmId.DIRECT:
-            label += "-" + row.mode.value
         if row.timed_out:
             any_timeout = True
             out.write("m=%d n=%d r=%d %s TIMEOUT\n" % (inst.m, inst.n, inst.r, label))
@@ -276,6 +250,9 @@ def run(argv: list[str] | None = None,
         return 1
     except (InstanceTooLargeError, NegativeCountError) as exc:
         err.write("refused: %s\n" % exc)
+        return 2
+    except MemoryError:
+        err.write("refused: out of memory\n")
         return 2
 
 

@@ -41,29 +41,31 @@ class Layers:
     A recurrence that looks back at most `depth` layers needs only the
     trailing depth + 1 of them, and only those are kept unless keep_all asks
     for every layer (sweeps that read sub-instances need that).  Reading a
-    dropped layer raises ValueError.
+    dropped layer raises ValueError.  `items` holds the kept layers, oldest
+    first; a fill whose inner loop reads one scalar per term indexes it
+    directly rather than paying a call to back().
     """
 
     def __init__(self, first, depth: int, keep_all: bool = False):
         self.n = 0  # index of the newest layer
-        self._items = deque([first], maxlen=None if keep_all else depth + 1)
+        self.items = deque([first], maxlen=None if keep_all else depth + 1)
 
     def back(self, k: int):
         """Layer n - k, or None when n - k < 0."""
-        return self._items[-1 - k] if k <= self.n else None
+        return self.items[-1 - k] if k <= self.n else None
 
     def append(self, layer) -> None:
-        self._items.append(layer)
+        self.items.append(layer)
         self.n += 1
 
     def __getitem__(self, n: int):
         k = self.n - n
         if n < 0 or k < 0:
             raise IndexError("layer %d is not filled (newest is %d)" % (n, self.n))
-        if k >= len(self._items):
+        if k >= len(self.items):
             raise ValueError("layer %d was dropped (window mode keeps the last %d)"
-                             % (n, len(self._items)))
-        return self._items[-1 - k]
+                             % (n, len(self.items)))
+        return self.items[-1 - k]
 
 
 def binomial(n: int, k: int) -> int:

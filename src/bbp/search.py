@@ -5,11 +5,11 @@ lies in [0, m*r].  Every context fills all of 0..n to answer n, so the
 search walks up from 0 and stops at the first n with P < gamma: the fill
 ends exactly at n_max + 1, and the two cells it ends on are the certificate.
 Thresholds are exact rationals and every comparison that decides the
-answer is exact.  The exact search walks the column context, which costs
-O(r) per n whatever m is.  Float mode is the float-guided direct search, a
-slower cross-check: it walks a floating-point direct context first to find
-a starting point, then walks the exact direct context from there to the
-true crossing, so its answer and certificate equal the exact ones.
+answer is exact.  The search walks the column context, which costs O(r)
+per n whatever m is.  Mode.FLOAT, kept for `table --float-above`, first
+walks a floating-point direct context to a starting point and then the
+exact direct context to the true crossing: a slower cross-check whose
+answer and certificate equal the exact ones.
 """
 
 from __future__ import annotations

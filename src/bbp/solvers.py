@@ -16,9 +16,9 @@ O(r) per n whatever m is, and the exact n_max search runs on it; the other
 routes do O(m) work or more per n.  `prob` defaults to the direct route and
 `count` to the Stirling route; day and counting serve as cross-checks.
 
-The layered fills (counting, direct, float direct, restricted Stirling)
-keep their layers in one `exact_arith.Layers` store: the trailing window
-their recurrence looks back on, or every layer with keep_all.
+The layered fills (counting, direct, float direct, restricted Stirling,
+column) keep their layers in one `exact_arith.Layers` store: the trailing
+window their recurrence looks back on, or every layer with keep_all.
 """
 
 from __future__ import annotations
@@ -258,7 +258,8 @@ class StirlingContext:
     """N(mm, nn) assembled from one shared restricted-Stirling table.
 
     Counts for the top mm are recorded as the table grows, so they stay
-    queryable after the window mode drops old rows.
+    queryable after the window mode drops old rows.  The rows stop at k = m,
+    so an mm above m is refused.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
@@ -286,6 +287,8 @@ class StirlingContext:
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self.m if mm is None else mm
+        if mm > self.m:
+            raise ValueError("StirlingContext holds only mm <= %d" % self.m)
         if n == 0:
             return 1
         if n > mm * self.r:
@@ -391,75 +394,62 @@ class DirectContext:
 
 
 class FloatDirectContext:
-    """Direct recurrence in floating point, coefficients kept incrementally.
+    """Direct recurrence in doubles, coefficients kept incrementally.
 
-    Plain doubles by default; pass precision (mantissa bits) to run on
-    mpmath floats instead.  Small negative round-off is clamped to zero.
+    A cross-check of the exact routes, not a way to a float answer: the
+    exact count over m**n, divided once, is the correctly rounded double
+    and is faster on the column route.  Negative round-off is clamped to
+    zero, and the recurrence only subtracts, so every value lies in [0, 1].
     """
 
-    def __init__(self, m: int, r: int, precision: int | None = None):
+    def __init__(self, m: int, r: int):
         if m < 1 or r < 1:
             raise ValueError("FloatDirectContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self.precision = precision
-        if precision is None:
-            self._num = float
-        else:
-            import mpmath
-
-            self._mp = mpmath.mp.clone()
-            self._mp.prec = precision
-            self._num = self._mp.mpf
-        one, zero = self._num(1), self._num(0)
-        self._one, self._zero = one, zero
-        self._layers = Layers([one] * (m + 1), r)
-        self._top = [one]
-        self._coeffs: list = [zero] * (m + 1)  # c(mm, nn) for the next step
+        self._layers = Layers([1.0] * (m + 1), r)
+        self._top = [1.0]
+        self._coeffs = [0.0] * (m + 1)  # c(mm, nn) for the next step
 
     def extend(self, n: int) -> None:
         m, r, layers = self.m, self.r, self._layers
-        num = self._num
         while layers.n < n:
             nn = layers.n + 1
             prev, back = layers.back(0), layers.back(r)
             coeffs = self._coeffs
             if nn == r + 1:
                 for mm in range(1, m + 1):
-                    coeffs[mm] = self._one / num(mm) ** r
+                    coeffs[mm] = 1.0 / float(mm) ** r
             elif nn >= r + 2:
                 for mm in range(1, m + 1):
                     coeffs[mm] = coeff_next(coeffs[mm], mm, nn, r)
-            layer = [self._zero] * (m + 1)
+            layer = [0.0] * (m + 1)
             for mm in range(1, m + 1):
                 if nn > mm * r:
                     continue
                 val = prev[mm]
                 if back is not None:
-                    val = val - coeffs[mm] * back[mm - 1]
+                    val -= coeffs[mm] * back[mm - 1]
                     if val < 0:
-                        val = self._zero
+                        val = 0.0
                 layer[mm] = val
             layers.append(layer)
             self._top.append(layer[m])
 
     def prob(self, n: int, mm: int | None = None) -> float:
-        self.extend(n)
-        if mm is None or mm == self.m:
-            val = self._top[n]
-        else:
+        if mm is not None and mm != self.m:
             raise ValueError("FloatDirectContext keeps only the top row")
-        val = float(val)
-        return min(max(val, 0.0), 1.0)
+        self.extend(n)
+        return self._top[n]
 
     def grid(self, n: int) -> list[list[float]]:
         """All P(mm, nn) for nn <= n as floats; refills with full retention."""
-        fresh = FloatDirectContext(self.m, self.r, self.precision)
+        fresh = FloatDirectContext(self.m, self.r)
         rows: list[list[float]] = [[1.0] * (n + 1) for _ in range(self.m + 1)]
         for nn in range(1, n + 1):
             fresh.extend(nn)
             layer = fresh._layers[nn]
             for mm in range(self.m + 1):
-                rows[mm][nn] = min(max(float(layer[mm]), 0.0), 1.0)
+                rows[mm][nn] = layer[mm]
         for nn in range(1, n + 1):
             rows[0][nn] = 0.0
         return rows
@@ -481,48 +471,55 @@ class ColumnContext:
     and the division by n is exact term by term, since j C(n, j) =
     n C(n-1, j-1); a remainder can only come from broken coefficient
     arithmetic.  Only the top-m column is held, so sub-m queries are
-    refused; m**n is kept alongside the counts so that probabilities never
-    recompute a power.
+    refused, and only its trailing r+1 counts: the recurrence looks back r,
+    and a search reads n_max after filling n_max + 1.  m**n is kept as a
+    running power, so probabilities never recompute it.
     """
 
     def __init__(self, m: int, r: int):
         if m < 1 or r < 1:
             raise ValueError("ColumnContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self._counts = [1]
-        self._pows = [1]  # m**n
+        self._counts = Layers(1, r)
+        self._pow = 1  # m**n for the newest n
 
     def extend(self, n: int) -> None:
-        m1, r = self.m + 1, self.r
-        counts, pows = self._counts, self._pows
-        while len(counts) <= n:
-            nn = len(counts)
+        m1, r, layers = self.m + 1, self.r, self._counts
+        window = layers.items  # window[-j] is N_{nn-j} until nn is appended
+        while layers.n < n:
+            nn = layers.n + 1
             total = 0
             c = 1  # C(nn, j)
             for j in range(1, min(r, nn) + 1):
                 c = c * (nn - j + 1) // j
-                total += (m1 * j - nn) * c * counts[nn - j]
+                total += (m1 * j - nn) * c * window[-j]
             val, rem = divmod(total, nn)
             if rem or val < 0:
                 raise NegativeCountError(
                     "column fill lost exactness at m=%d n=%d r=%d" % (self.m, nn, r)
                 )
-            counts.append(val)
-            pows.append(pows[-1] * self.m)
+            layers.append(val)
+            self._pow *= self.m
 
     def count(self, n: int, mm: int | None = None) -> int:
+        """N(m, n, r); an n behind the window raises ValueError."""
         if mm is not None and mm != self.m:
             raise ValueError("ColumnContext holds only m=%d" % self.m)
         self.extend(n)
         return self._counts[n]
 
+    def _power(self, n: int) -> int:
+        """m**n for a filled n, from the running power."""
+        back = self._counts.n - n
+        return self._pow // self.m ** back if back else self._pow
+
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        return Fraction(self.count(n, mm), self._pows[n])
+        return Fraction(self.count(n, mm), self._power(n))
 
     def prob_at_least(self, n: int, gamma: Fraction) -> bool:
         """P(m, n, r) >= gamma without building a reduced Fraction."""
         t = self.count(n)
-        return gamma.denominator * t >= gamma.numerator * self._pows[n]
+        return gamma.denominator * t >= gamma.numerator * self._power(n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .solvers import (
     CountingContext,
     DayContext,
     DirectContext,
-    FloatDirectContext,
     Mode,
     ProblemInstance,
     StirlingContext,
@@ -208,7 +207,6 @@ def cross_check(max_m: int, max_n: int, max_r: int,
 class BenchRow:
     instance: ProblemInstance
     algorithm: AlgorithmId
-    mode: Mode
     seconds: float | None  # median over repetitions; None when timed out
     timed_out: bool = False
 
@@ -219,29 +217,23 @@ class BenchReport:
     repetitions: int
     environment: str
     note: str = (
-        "expected ordering on large instances: column <= direct(float)"
-        " <= direct(exact) <= stirling <= day <= counting (not asserted)"
+        "expected ordering on large instances, exact values throughout:"
+        " column <= direct <= stirling <= day <= counting (not asserted)"
     )
 
 
-def _bench_target(conn, m, n, r, algorithm_name, mode_name):
+def _bench_target(conn, m, n, r, algorithm_name):
     inst = ProblemInstance(m, n, r)
-    algorithm = AlgorithmId(algorithm_name)
     start = time.perf_counter()
-    if algorithm is AlgorithmId.DIRECT and mode_name == Mode.FLOAT.value:
-        FloatDirectContext(m, r).prob(n)
-    else:
-        prob_exact(inst, algorithm)
+    prob_exact(inst, AlgorithmId(algorithm_name))
     conn.send(time.perf_counter() - start)
     conn.close()
 
 
-def _timed_run(m, n, r, algorithm, mode, timeout):
+def _timed_run(m, n, r, algorithm, timeout):
     ctx = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_bench_target, args=(child, m, n, r, algorithm.value, mode.value)
-    )
+    proc = ctx.Process(target=_bench_target, args=(child, m, n, r, algorithm.value))
     proc.start()
     child.close()
     proc.join(timeout)
@@ -268,28 +260,21 @@ def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
                 count = bounded_composition_count(inst.m, inst.n, inst.r)
                 if count > DEFAULT_ORACLE_LIMIT:
                     continue
-            modes = [Mode.EXACT]
-            if algorithm is AlgorithmId.DIRECT:
-                modes.append(Mode.FLOAT)
-            for mode in modes:
-                timings = []
-                timed_out = False
-                for _ in range(repetitions):
-                    elapsed = _timed_run(
-                        inst.m, inst.n, inst.r, algorithm, mode, timeout
-                    )
-                    if elapsed is None:
-                        timed_out = True
-                        break
-                    timings.append(elapsed)
-                rows.append(
-                    BenchRow(
-                        instance=inst,
-                        algorithm=algorithm,
-                        mode=mode,
-                        seconds=None if timed_out else statistics.median(timings),
-                        timed_out=timed_out,
-                    )
+            timings = []
+            timed_out = False
+            for _ in range(repetitions):
+                elapsed = _timed_run(inst.m, inst.n, inst.r, algorithm, timeout)
+                if elapsed is None:
+                    timed_out = True
+                    break
+                timings.append(elapsed)
+            rows.append(
+                BenchRow(
+                    instance=inst,
+                    algorithm=algorithm,
+                    seconds=None if timed_out else statistics.median(timings),
+                    timed_out=timed_out,
                 )
+            )
     environment = "%s, Python %s" % (platform.platform(), platform.python_version())
     return BenchReport(rows=rows, repetitions=repetitions, environment=environment)

@@ -53,17 +53,23 @@ def test_prob_all_algorithms_agree():
     assert len(outputs) == 1
 
 
-def test_prob_float_mode():
+def test_prob_float_format():
+    # The exact value rounded once to the nearest double, whatever the route.
+    for instance in (["-m", "10", "-n", "5", "-r", "2"],
+                     ["-m", "4", "-n", "7", "-r", "3"]):
+        for algo in ["day", "counting", "stirling", "direct", "column", "brute"]:
+            argv = ["prob"] + instance + ["--algo", algo]
+            _, frac, _ = invoke(argv)
+            num, den = (int(x) for x in frac.strip().split("/"))
+            assert invoke(argv + ["--format", "float"]) == (
+                0, repr(num / den) + "\n", ""), argv
     code, out, _ = invoke(["prob", "-m", "365", "-n", "23", "-r", "1",
-                           "--mode", "float"])
-    assert code == 0
-    _, exact_out, _ = invoke(["prob", "-m", "365", "-n", "23", "-r", "1"])
-    num, den = (int(x) for x in exact_out.strip().split("/"))
-    assert abs(float(out) - num / den) < 1e-9
-    # Shortcuts: no fill when n > m*r (pigeonhole) or r >= n (cap never binds).
+                           "--algo", "column", "--format", "float"])
+    assert (code, out) == (0, "0.4927027656760146\n")
+    # No fill when n > m*r (pigeonhole) or r >= n (cap never binds).
     for argv, want in [(["-m", "5", "-n", "400", "-r", "2"], "0.0\n"),
                        (["-m", "50", "-n", "2", "-r", "3"], "1.0\n")]:
-        assert invoke(["prob"] + argv + ["--mode", "float"]) == (0, want, "")
+        assert invoke(["prob"] + argv + ["--format", "float"]) == (0, want, "")
 
 
 def test_count_subcommand():
@@ -134,6 +140,9 @@ def test_usage_errors_exit_1():
         ["prob", "-m", "0", "-n", "2", "-r", "1"],            # bad instance
         ["nmax", "-m", "10", "-r", "1", "--algo", "stirling"],  # no search choice
         ["table", "--algo", "day"],
+        ["prob", "-m", "10", "-n", "5", "-r", "2", "--mode", "float"],
+        ["prob", "-m", "10", "-n", "5", "-r", "2", "--precision", "0"],
+        ["nmax", "-m", "10", "-r", "1", "--mode", "float"],
         ["frobnicate"],
     ]:
         code, out, err = invoke(argv)
@@ -161,10 +170,19 @@ def test_broken_fill_exit_2(monkeypatch):
     assert err.startswith("refused:") and "planted" in err
 
 
+def test_out_of_memory_exit_2(monkeypatch):
+    def exhausted(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(bbp.solvers.DirectContext, "extend", exhausted)
+    code, out, err = invoke(["prob", "-m", "10", "-n", "5", "-r", "2"])
+    assert (code, out, err) == (2, "", "refused: out of memory\n")
+
+
 def test_bench_subcommand():
     code, out, _ = invoke(["bench", "--instance", "6,8,2",
                            "--algos", "stirling,direct", "--reps", "1"])
     assert code == 0
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert len(lines) == 3
+    assert [l.split()[3] for l in lines] == ["stirling", "direct"]
     assert all(l.startswith("m=6 n=8 r=2 ") for l in lines)

@@ -152,6 +152,21 @@ def test_prob_stirling_examples():
     assert StirlingContext(1, 1).prob(1) == 1
 
 
+def test_stirling_context_refuses_larger_m():
+    # Its Stirling rows stop at k = m; reads at mm <= m stay exact.
+    ctx = StirlingContext(4, 3, keep_all=True)
+    for mm in range(1, 5):
+        for n in range(10):
+            assert ctx.count(n, mm) == count_bruteforce(ProblemInstance(mm, n, 3))
+    small = StirlingContext(2, 3, keep_all=True)
+    small.extend(4)
+    for n, mm in [(4, 4), (4, 3), (0, 3)]:  # N(4, 4, 3) = 252, not 84
+        with pytest.raises(ValueError):
+            small.count(n, mm)
+        with pytest.raises(ValueError):
+            small.prob(n, mm)
+
+
 def test_structural_identity_small():
     # T(m, n, k, r) == C(m, k) * k! * {n, k}_{<=r}
     for m in range(1, 7):
@@ -273,9 +288,23 @@ def test_column_fill_guards_exactness():
     for delta in (1, -1):
         column = ColumnContext(3, 2)
         column.extend(2)
-        column._counts[2] += delta
+        column._counts.items[-1] += delta  # N_2
         with pytest.raises(NegativeCountError):
             column.extend(9)
+
+
+def test_column_keeps_a_window():
+    # r = 2 keeps the counts of n = 18..20 once the fill reaches 20.
+    column, fresh = ColumnContext(10, 2), ColumnContext(10, 2)
+    column.extend(20)
+    for n in (18, 19, 20):
+        assert column.count(n) == fresh.count(n)
+        assert column.prob(n) == Fraction(fresh.count(n), 10 ** n)
+    for n in (17, 0):
+        with pytest.raises(ValueError):
+            column.count(n)
+        with pytest.raises(ValueError):
+            column.prob(n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +345,6 @@ def test_float_mode_matches_exact_small():
                 approx = fctx.prob(n)
                 exact = float(ectx.prob(n))
                 assert abs(approx - exact) <= 1e-11, (m, n, r)
-
-
-def test_float_mode_extended_precision():
-    approx = FloatDirectContext(365, 1, precision=200).prob(23)
-    exact = DirectContext(365, 1).prob(23)
-    assert abs(approx - float(exact)) < 1e-12
-    assert 0.0 <= approx <= 1.0
 
 
 # ---------------------------------------------------------------------------
