@@ -12,9 +12,11 @@ random birthdays over m days leave no day with more than r of them:
 
 All exact routes return identical reduced rationals; the brute-force route
 is the ground-truth oracle on small instances.  The column route costs
-O(r) per n whatever m is, and the exact n_max search runs on it; the other
-routes do O(m) work or more per n.  `prob` defaults to the direct route and
-`count` to the Stirling route; day and counting serve as cross-checks.
+O(r) per n whatever m is, and the exact n_max search runs on it.  The
+direct route fills only the cone of mm that P(m, n) depends on, O(min(m,
+n/(r+1))) per n; the other routes do O(m) work or more per n.  `prob`
+defaults to the direct route and `count` to the Stirling route; day and
+counting serve as cross-checks.
 
 The layered fills (counting, direct, float direct, restricted Stirling,
 column) keep their layers in one `exact_arith.Layers` store: the trailing
@@ -273,10 +275,11 @@ class StirlingContext:
         lo = -(-n // self.r)
         hi = min(mm, n)
         total = 0
-        for k in range(lo, hi + 1):
-            if k < len(row) and row[k]:
-                # C(mm, k) * k! == mm falling-factorial k
-                total += math.perm(mm, k) * row[k]
+        falling = math.perm(mm, lo)  # C(mm, k) * k! == mm falling-factorial k
+        for k in range(lo, min(hi, len(row) - 1) + 1):
+            if row[k]:
+                total += falling * row[k]
+            falling *= mm - k
         return total
 
     def extend(self, n: int) -> None:
@@ -339,47 +342,80 @@ class DirectContext:
 
         T(mm, nn) = mm * T(mm, nn-1) - mm * C(nn-1, r) * T(mm-1, nn-1-r)
 
-    Layers over nn hold all mm at once; the trailing r+1 layers are kept
-    (every layer with keep_all) plus the full top-row (mm = m) history, so
-    a search can query any already-filled n.  The table only ever grows in
-    n.
+    The recurrence steps mm down by one only every r+1 layers, so T(m, n)
+    depends on at most n/(r+1) + 1 values of mm.  In window mode a layer
+    holds only that cone: the layer at nn holds mm in [lo(nn), m], with
+
+        lo(nn) = max(0, low - (H - nn) // (r+1)),
+
+    where H is the highest n the context serves and low the lowest mm it
+    has been asked for (m until a sub-m read).  lo(nn-1-r) = lo(nn) - 1, so
+    every term a layer reads lies inside the bands before it.  An extend
+    past H refills from layer 0 with H doubled, so filling to n costs
+    O(min(m, n/(r+1))) per n.  A sub-m read below the band refills at full
+    width, and keep_all holds every layer at full width.  The trailing r+1
+    layers are kept (every layer with keep_all) plus the full top-row
+    (mm = m) history, so a search can query any already-filled n.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         if m < 1 or r < 1:
             raise ValueError("DirectContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        # T(mm, 0) = 1, including mm = 0
-        self._layers = Layers([1] * (m + 1), r, keep_all)
+        self._keep_all = keep_all
+        self._restart(0, 0 if keep_all else m)
+
+    def _lo(self, nn: int) -> int:
+        """The lowest mm the layer at nn holds."""
+        return max(0, self._low - (self._horizon - nn) // (self.r + 1))
+
+    def _restart(self, horizon: int, low: int) -> None:
+        """Drop every layer and start again from layer 0, T(mm, 0) = 1."""
+        self._horizon, self._low = horizon, low
+        self._layers = Layers([1] * (self.m - self._lo(0) + 1), self.r,
+                              self._keep_all)
         self._top = [1]
 
     def extend(self, n: int) -> None:
+        if n > self._horizon:
+            if self._low:
+                self._restart(max(2 * self._horizon, n), self._low)
+            else:
+                self._horizon = n  # full width: lo(nn) stays 0
         m, r, layers = self.m, self.r, self._layers
         while layers.n < n:
             nn = layers.n + 1
             prev, back = layers.back(0), layers.back(r)
             c = binomial(nn - 1, r)
-            layer = [0] * (m + 1)
-            for mm in range(1, m + 1):
+            lo = self._lo(nn)
+            lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
+            layer = [0] * (m - lo + 1)
+            for mm in range(max(lo, 1), m + 1):
                 if nn > mm * r:
                     continue  # impossible by pigeonhole
-                val = mm * prev[mm]
+                val = mm * prev[mm - lo_prev]
                 if c:
-                    val -= mm * c * back[mm - 1]
+                    val -= mm * c * back[mm - 1 - lo_back]
                     if val < 0:
                         raise NegativeCountError(
                             "direct fill went negative at m=%d n=%d r=%d"
                             % (mm, nn, r)
                         )
-                layer[mm] = val
+                layer[mm - lo] = val
             layers.append(layer)
-            self._top.append(layer[m])
+            self._top.append(layer[-1])
 
     def count(self, n: int, mm: int | None = None) -> int:
         self.extend(n)
         if mm is None or mm == self.m:
             return self._top[n]
-        return self._layers[n][mm]
+        layer = self._layers[n]  # a dropped layer raises ValueError
+        if mm < self._lo(n):
+            filled = self._layers.n
+            self._restart(self._horizon, 0)
+            self.extend(filled)
+            layer = self._layers[n]
+        return layer[mm - self._lo(n)]
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
         mm = self.m if mm is None else mm

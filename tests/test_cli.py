@@ -53,6 +53,14 @@ def test_prob_all_algorithms_agree():
     assert len(outputs) == 1
 
 
+def test_prob_huge_m_on_the_direct_default():
+    # The direct fill holds only the mm that T(10**8, 50) depends on.
+    argv = ["prob", "-m", "100000000", "-n", "50", "-r", "2"]
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert out == invoke(argv + ["--algo", "column"])[1]
+
+
 def test_prob_float_format():
     # The exact value rounded once to the nearest double, whatever the route.
     for instance in (["-m", "10", "-n", "5", "-r", "2"],

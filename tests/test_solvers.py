@@ -222,6 +222,38 @@ def test_direct_context_counts_match_counting():
                 assert frontier == direct.count(n, m), (m, n, r)
 
 
+def test_direct_fill_is_a_cone():
+    # T(m, n) reaches one mm lower every r+1 layers, so a window fill at
+    # m = 10**6 holds about n/(r+1) values of mm per layer, not 10**6.
+    m = 10 ** 6
+    for r in (1, 2, 5, 10):
+        column = ColumnContext(m, r)
+        for n in range(65):
+            direct = DirectContext(m, r)
+            assert direct.prob(n) == column.prob(n), (n, r)
+            widest = max(len(layer) for layer in direct._layers.items)
+            assert widest <= n // (r + 1) + 2, (n, r, widest)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(),
+       m=st.one_of(st.integers(1, 30), st.integers(1, 10 ** 6)),
+       r=st.integers(1, 10))
+def test_direct_window_matches_column_and_keep_all(data, m, r):
+    ns = sorted(data.draw(st.lists(st.integers(0, 80), min_size=1, max_size=8)))
+    assert DirectContext(m, r).prob(ns[-1]) == ColumnContext(m, r).prob(ns[-1])
+    # One context read at rising n crosses its horizon and refills; at
+    # small m, sub-m reads below the band refill it at full width.
+    shared, column = DirectContext(m, r), ColumnContext(m, r)
+    full = DirectContext(m, r, keep_all=True) if m <= 30 else None
+    for n in ns:
+        assert shared.count(n) == column.count(n), (m, r, n)
+        if full is not None and data.draw(st.booleans()):
+            mm = data.draw(st.integers(1, m))
+            assert shared.count(n, mm) == full.count(n, mm), (m, r, n, mm)
+            assert shared.prob(n) == column.prob(n), (m, r, n)
+
+
 # ---------------------------------------------------------------------------
 # Column recurrence
 
