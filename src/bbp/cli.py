@@ -8,6 +8,7 @@ Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,6 +67,7 @@ def _algo(name: str) -> AlgorithmId:
         raise UsageError("unknown algorithm %r" % name) from None
 
 
+@functools.cache  # built on the first run(), reused by every later one
 def build_parser() -> _Parser:
     parser = _Parser(prog="bbp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,9 +14,9 @@ All exact routes return identical reduced rationals; the brute-force route
 is the ground-truth oracle on small instances.  The column route costs
 O(r) per n whatever m is, and the exact n_max search runs on it.  The
 direct route fills only the cone of mm that P(m, n) depends on, O(min(m,
-n/(r+1))) per n; the other routes do O(m) work or more per n.  `prob`
-defaults to the direct route and `count` to the Stirling route; day and
-counting serve as cross-checks.
+n/(r+1))) per n; the Stirling route fills O(min(n, m)) per row and sums
+row n alone; day and counting do O(m) work or more per n and serve as
+cross-checks.  `prob` defaults to direct and `count` to Stirling.
 
 The layered fills (counting, direct, float direct, restricted Stirling,
 column) keep their layers in one `exact_arith.Layers` store: the trailing
@@ -67,6 +67,13 @@ class ProblemInstance:
             raise ValueError("n must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+
+
+def _checked_mm(ctx, mm: int | None) -> int:
+    """mm, or ctx.m when mm is None; an mm outside 0..ctx.m raises ValueError."""
+    if mm is not None and not 0 <= mm <= ctx.m:
+        raise ValueError("%s holds only 0 <= mm <= %d" % (type(ctx).__name__, ctx.m))
+    return ctx.m if mm is None else mm
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +234,21 @@ class CountingContext:
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
         """T(mm, nn, kk, r); layers behind the window raise ValueError."""
-        if kk < 0 or kk > self.m:
-            return 0
+        if kk < 0 or kk > _checked_mm(self, mm):
+            return 0  # more occupied days than days
         self.extend(nn)
         return self._layers[nn][mm][kk]
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(mm, n) = sum over kk of T(mm, n, kk, r)."""
+        mm = _checked_mm(self, mm)
         self.extend(n)
-        if mm is None or mm == self.m:
+        if mm == self.m:
             return self._n_sums[n]
         return sum(self._layers[n][mm])
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = self.m if mm is None else mm
+        mm = _checked_mm(self, mm)
         return Fraction(self.count(n, mm), mm ** n)
 
 
@@ -257,11 +265,11 @@ def count_valid(inst: ProblemInstance) -> int:
 
 
 class StirlingContext:
-    """N(mm, nn) assembled from one shared restricted-Stirling table.
+    """N(mm, n) summed from row n of one restricted-Stirling table.
 
-    Counts for the top mm are recorded as the table grows, so they stay
-    queryable after the window mode drops old rows.  The rows stop at k = m,
-    so an mm above m is refused.
+    An answer fills the rows up to n and sums one, O(min(n, m)) terms a row.
+    Window mode keeps the last r+1 rows: a read of a dropped n raises
+    ValueError, at mm = m too.  Rows stop at k = m, so mm > m is refused.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
@@ -269,40 +277,31 @@ class StirlingContext:
             raise ValueError("StirlingContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
         self._table = RestrictedStirling(r, k_cap=m, keep_all=keep_all)
-        self._counts = [1]  # N(m, nn) history
 
     def _sum_row(self, row: list[int], n: int, mm: int) -> int:
         lo = -(-n // self.r)
-        hi = min(mm, n)
         total = 0
         falling = math.perm(mm, lo)  # C(mm, k) * k! == mm falling-factorial k
-        for k in range(lo, min(hi, len(row) - 1) + 1):
+        for k in range(lo, min(mm, n) + 1):  # the row holds k <= min(n, m)
             if row[k]:
                 total += falling * row[k]
             falling *= mm - k
         return total
 
     def extend(self, n: int) -> None:
-        while len(self._counts) <= n:
-            nn = len(self._counts)
-            row = self._table.row(nn)
-            self._counts.append(self._sum_row(row, nn, self.m))
+        self._table.extend(n)
 
     def count(self, n: int, mm: int | None = None) -> int:
-        mm = self.m if mm is None else mm
-        if mm > self.m:
-            raise ValueError("StirlingContext holds only mm <= %d" % self.m)
+        mm = _checked_mm(self, mm)
         if n == 0:
             return 1
         if n > mm * self.r:
             return 0
         self.extend(n)
-        if mm == self.m:
-            return self._counts[n]
         return self._sum_row(self._table.row(n), n, mm)
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = self.m if mm is None else mm
+        mm = _checked_mm(self, mm)
         return Fraction(self.count(n, mm), mm ** n)
 
 
@@ -406,8 +405,9 @@ class DirectContext:
             self._top.append(layer[-1])
 
     def count(self, n: int, mm: int | None = None) -> int:
+        mm = _checked_mm(self, mm)
         self.extend(n)
-        if mm is None or mm == self.m:
+        if mm == self.m:
             return self._top[n]
         layer = self._layers[n]  # a dropped layer raises ValueError
         if mm < self._lo(n):
@@ -418,7 +418,7 @@ class DirectContext:
         return layer[mm - self._lo(n)]
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = self.m if mm is None else mm
+        mm = _checked_mm(self, mm)
         if n == 0:
             return Fraction(1)
         return Fraction(self.count(n, mm), mm ** n)

@@ -70,9 +70,7 @@ class RestrictedStirling:
             c = binomial(nn - 1, r)
             # Entries past the end of a shorter row are structurally zero.
             len_prev, len_back = len(prev), len(back) if c else 0
-            for k in range(1, len(row)):
-                if nn > k * r:
-                    continue
+            for k in range(max(1, -(-nn // r)), len(row)):  # nn <= k*r
                 val = prev[k - 1]
                 if k < len_prev:
                     val += k * prev[k]

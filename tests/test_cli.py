@@ -194,3 +194,20 @@ def test_bench_subcommand():
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert [l.split()[3] for l in lines] == ["stirling", "direct"]
     assert all(l.startswith("m=6 n=8 r=2 ") for l in lines)
+
+
+def test_cached_parser_keeps_no_state_between_runs():
+    # The parser is built once per process; each call parses afresh.
+    bench = ["bench", "--instance", "5,7,2", "--algos", "column", "--reps", "1"]
+    for _ in range(2):
+        code, out, _ = invoke(bench)
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        assert code == 0 and len(rows) == 1 and rows[0].startswith("m=5 n=7 r=2 column ")
+    prob = ["prob", "-m", "3", "-n", "2", "-r", "1", "--format", "json"]
+    assert json.loads(invoke(prob + ["--algo", "column"])[1])["algorithm"] == "column"
+    assert json.loads(invoke(prob)[1])["algorithm"] == "direct"
+    good = [["count", "-m", "3", "-n", "2", "-r", "1", "--format", "json"],
+            ["nmax", "-m", "10", "-r", "3"]]
+    before = [invoke(argv) for argv in good]
+    assert invoke(["count", "-m", "3", "-n", "2", "--algo", "magic"])[0] == 1
+    assert [invoke(argv) for argv in good] == before

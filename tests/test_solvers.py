@@ -167,6 +167,49 @@ def test_stirling_context_refuses_larger_m():
             small.prob(n, mm)
 
 
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), m=st.integers(1, 200), r=st.integers(1, 10))
+def test_stirling_window_matches_column(data, m, r):
+    # One window context read at rising n sums each row as it is filled.
+    ns = sorted(data.draw(st.lists(st.integers(0, 400), min_size=1, max_size=6)))
+    stirling, column = StirlingContext(m, r), ColumnContext(m, r)
+    for n in ns:
+        assert stirling.count(n) == column.count(n), (m, r, n)
+        assert stirling.prob(n) == column.prob(n), (m, r, n)
+
+
+def test_stirling_window_refuses_a_dropped_top_read():
+    # r = 3 keeps rows 37..40 once the fill reaches 40, and no count history.
+    ctx, full = StirlingContext(20, 3), StirlingContext(20, 3, keep_all=True)
+    assert ctx.count(40) == full.count(40)
+    assert ctx.count(37) == full.count(37)
+    for n in (36, 5):
+        with pytest.raises(ValueError):
+            ctx.count(n)
+        with pytest.raises(ValueError):
+            ctx.prob(n, 20)
+
+
+@pytest.mark.parametrize("keep_all", [False, True])
+@pytest.mark.parametrize("make", [CountingContext, DirectContext, StirlingContext])
+def test_contexts_refuse_mm_outside_0_to_m(make, keep_all):
+    # A negative mm used to index a layer from its end: count(3, -1) read
+    # N(5, 3) = 120 on the counting and direct routes.
+    ctx = make(5, 2, keep_all=keep_all)
+    for mm in (-1, 6):
+        for n in (0, 3):
+            with pytest.raises(ValueError):
+                ctx.count(n, mm)
+            with pytest.raises(ValueError):
+                ctx.prob(n, mm)
+    if make is CountingContext:
+        for mm in (-1, 6):
+            with pytest.raises(ValueError):
+                ctx.t_value(mm, 3, 1)
+    assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
+    assert ctx.count(3, 0) == 0
+
+
 def test_structural_identity_small():
     # T(m, n, k, r) == C(m, k) * k! * {n, k}_{<=r}
     for m in range(1, 7):
