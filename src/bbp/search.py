@@ -14,25 +14,25 @@ answer and certificate equal the exact ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .solvers import ColumnContext, DirectContext, FloatDirectContext, Mode
+from .solvers import ColumnContext, DirectContext, FloatDirectContext, Mode, Record
 
 
-@dataclass
-class SearchRequest:
-    m: int
-    r: int
-    gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    mode: Mode = Mode.EXACT
+class SearchRequest(Record):
+    def __init__(self, m: int, r: int, gamma: Fraction = Fraction(1, 2),
+                 mode: Mode = Mode.EXACT):
+        self.m = m
+        self.r = r
+        self.gamma = gamma
+        self.mode = mode
 
 
-@dataclass
-class SearchResult:
-    n_max: int
-    p_at_nmax: Fraction
-    p_at_nmax_plus_1: Fraction
+class SearchResult(Record):
+    def __init__(self, n_max: int, p_at_nmax: Fraction, p_at_nmax_plus_1: Fraction):
+        self.n_max = n_max
+        self.p_at_nmax = p_at_nmax
+        self.p_at_nmax_plus_1 = p_at_nmax_plus_1
 
 
 def _check_gamma(gamma: Fraction) -> None:

@@ -26,7 +26,7 @@ window their recurrence looks back on, or every layer with keep_all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -54,19 +54,37 @@ class Mode(Enum):
     FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    m: int  # days in the year
-    n: int  # people
-    r: int  # cap on birthdays per day
+class ProblemInstance(namedtuple("ProblemInstance", "m n r")):
+    """m days in the year, n people, a cap of r birthdays per day."""
 
-    def __post_init__(self):
-        if self.m < 1:
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, r: int):
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be >= 1")
+        return super().__new__(cls, m, n, r)
+
+
+class Record:
+    """Value equality and a field-by-field repr for a mutable record.
+
+    The fields are the instance attributes, in the order __init__ sets them.
+    """
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in vars(self).items()))
 
 
 def _checked_mm(ctx, mm: int | None) -> int:
@@ -74,6 +92,14 @@ def _checked_mm(ctx, mm: int | None) -> int:
     if mm is not None and not 0 <= mm <= ctx.m:
         raise ValueError("%s holds only 0 <= mm <= %d" % (type(ctx).__name__, ctx.m))
     return ctx.m if mm is None else mm
+
+
+def _checked_prob_mm(ctx, n: int, mm: int | None) -> int:
+    """_checked_mm for P(mm, n), which is undefined at mm = 0 for n > 0."""
+    mm = _checked_mm(ctx, mm)
+    if mm == 0 and n > 0:
+        raise ValueError("P(0, n) is undefined for n > 0: no day to land on")
+    return mm
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +173,11 @@ class DayContext:
         if m < 1 or r < 1:
             raise ValueError("DayContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        # rows[mm] is the list of P(mm, nn) Fractions; rows[0] unused.
-        self._rows: list[list[Fraction]] = [[] for _ in range(m + 1)]
-        self._rows[1] = [Fraction(1)]
+        # rows[mm] is the list of P(mm, nn) Fractions.  Row 0 stays at
+        # P(0, 0) = 1, since P(0, nn) is undefined for nn > 0.
+        self._rows: list[list[Fraction]] = [[Fraction(1)] for _ in range(m + 1)]
         # Per-row powers of (mm-1)/mm, grown alongside the rows.
-        self._q_pows: list[list[Fraction]] = [[] for _ in range(m + 1)]
-        for mm in range(2, m + 1):
-            self._rows[mm] = [Fraction(1)]
-            self._q_pows[mm] = [Fraction(1)]
+        self._q_pows: list[list[Fraction]] = [[Fraction(1)] for _ in range(m + 1)]
 
     def extend(self, n: int) -> None:
         r = self.r
@@ -178,7 +201,7 @@ class DayContext:
                 row.append(total)
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = self.m if mm is None else mm
+        mm = _checked_prob_mm(self, n, mm)
         self.extend(n)
         return self._rows[mm][n]
 
@@ -248,7 +271,7 @@ class CountingContext:
         return sum(self._layers[n][mm])
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_mm(self, mm)
+        mm = _checked_prob_mm(self, n, mm)
         return Fraction(self.count(n, mm), mm ** n)
 
 
@@ -301,7 +324,7 @@ class StirlingContext:
         return self._sum_row(self._table.row(n), n, mm)
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_mm(self, mm)
+        mm = _checked_prob_mm(self, n, mm)
         return Fraction(self.count(n, mm), mm ** n)
 
 
@@ -418,7 +441,7 @@ class DirectContext:
         return layer[mm - self._lo(n)]
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_mm(self, mm)
+        mm = _checked_prob_mm(self, n, mm)
         if n == 0:
             return Fraction(1)
         return Fraction(self.count(n, mm), mm ** n)

@@ -2,19 +2,17 @@
 
 Grid cells are independent jobs, dispatched to a pool largest first; results
 are assembled in spec order so the rendered output is byte-identical
-regardless of worker count.
+regardless of worker count.  The process pool, multiprocessing, platform and
+statistics modules are imported on first use, inside the functions that need
+them, so that `import bbp.cli` (the fixed cost of every `bbp` call) does not
+load them.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import platform
-import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .search import SearchRequest, find_nmax
@@ -26,6 +24,7 @@ from .solvers import (
     DirectContext,
     Mode,
     ProblemInstance,
+    Record,
     StirlingContext,
     bounded_composition_count,
     prob_bruteforce,
@@ -36,28 +35,32 @@ PAPER_M_VALUES = [10, 25, 50, 100, 200, 365, 500, 1000]
 PAPER_R_VALUES = list(range(1, 11))
 
 
-@dataclass
-class TableSpec:
-    m_values: list[int] = field(default_factory=lambda: list(PAPER_M_VALUES))
-    r_values: list[int] = field(default_factory=lambda: list(PAPER_R_VALUES))
-    gamma: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    output_format: str = "markdown"  # csv | markdown | json
-    # Columns with m above this are searched in float mode first; the
-    # answers stay exact.  None searches every column exactly.
-    float_above: int | None = None
-    jobs: int = 1
+class TableSpec(Record):
+    """An n_max grid; m_values and r_values default to the paper's grid."""
 
-    def __post_init__(self):
+    def __init__(self, m_values: list[int] | None = None,
+                 r_values: list[int] | None = None,
+                 gamma: Fraction = Fraction(1, 2),
+                 output_format: str = "markdown",  # csv | markdown | json
+                 float_above: int | None = None, jobs: int = 1):
+        self.m_values = list(PAPER_M_VALUES) if m_values is None else m_values
+        self.r_values = list(PAPER_R_VALUES) if r_values is None else r_values
+        self.gamma = gamma
+        self.output_format = output_format
+        # Columns with m above this are searched in float mode first; the
+        # answers stay exact.  None searches every column exactly.
+        self.float_above = float_above
+        self.jobs = jobs
         if not self.m_values or not self.r_values:
             raise ValueError("m_values and r_values must be nonempty")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-@dataclass
-class TableResult:
-    spec: TableSpec
-    cells: list[list[int]]  # rows by r ascending, columns by m ascending
+class TableResult(Record):
+    def __init__(self, spec: TableSpec, cells: list[list[int]]):
+        self.spec = spec
+        self.cells = cells  # rows by r ascending, columns by m ascending
 
     def cell(self, r: int, m: int) -> int:
         return self.cells[self.spec.r_values.index(r)][self.spec.m_values.index(m)]
@@ -87,6 +90,8 @@ def generate_table(spec: TableSpec) -> TableResult:
         # Largest cells first, so the longest one does not start last.
         order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] * jobs[i][1],
                        reverse=True)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             done = dict(zip(order, pool.map(_cell_job, [jobs[i] for i in order])))
         values = [done[i] for i in range(len(jobs))]
@@ -142,20 +147,22 @@ def render(result: TableResult, output_format: str | None = None) -> str:
 # Cross-algorithm validation
 
 
-@dataclass
-class Divergence:
-    instance: ProblemInstance
-    values: dict[str, str]  # algorithm name -> exact probability string
+class Divergence(Record):
+    def __init__(self, instance: ProblemInstance, values: dict[str, str]):
+        self.instance = instance
+        self.values = values  # algorithm name -> exact probability string
 
 
-@dataclass
-class XCheckReport:
-    max_m: int
-    max_n: int
-    max_r: int
-    instances_checked: int = 0
-    oracle_checked: int = 0
-    divergences: list[Divergence] = field(default_factory=list)
+class XCheckReport(Record):
+    def __init__(self, max_m: int, max_n: int, max_r: int,
+                 instances_checked: int = 0, oracle_checked: int = 0,
+                 divergences: list[Divergence] | None = None):
+        self.max_m = max_m
+        self.max_n = max_n
+        self.max_r = max_r
+        self.instances_checked = instances_checked
+        self.oracle_checked = oracle_checked
+        self.divergences = [] if divergences is None else divergences
 
     @property
     def passed(self) -> bool:
@@ -203,23 +210,25 @@ def cross_check(max_m: int, max_n: int, max_r: int,
 # Benchmarks
 
 
-@dataclass
-class BenchRow:
-    instance: ProblemInstance
-    algorithm: AlgorithmId
-    seconds: float | None  # median over repetitions; None when timed out
-    timed_out: bool = False
+class BenchRow(Record):
+    def __init__(self, instance: ProblemInstance, algorithm: AlgorithmId,
+                 seconds: float | None, timed_out: bool = False):
+        self.instance = instance
+        self.algorithm = algorithm
+        self.seconds = seconds  # median over repetitions; None when timed out
+        self.timed_out = timed_out
 
 
-@dataclass
-class BenchReport:
-    rows: list[BenchRow]
-    repetitions: int
-    environment: str
-    note: str = (
-        "expected ordering on large instances, exact values throughout:"
-        " column <= direct <= stirling <= day <= counting (not asserted)"
-    )
+class BenchReport(Record):
+    NOTE = ("expected ordering on large instances, exact values throughout:"
+            " column <= direct <= stirling <= day <= counting (not asserted)")
+
+    def __init__(self, rows: list[BenchRow], repetitions: int, environment: str,
+                 note: str = NOTE):
+        self.rows = rows
+        self.repetitions = repetitions
+        self.environment = environment
+        self.note = note
 
 
 def _bench_target(conn, m, n, r, algorithm_name):
@@ -231,6 +240,8 @@ def _bench_target(conn, m, n, r, algorithm_name):
 
 
 def _timed_run(m, n, r, algorithm, timeout):
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_bench_target, args=(child, m, n, r, algorithm.value))
@@ -250,6 +261,9 @@ def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
               repetitions: int = 3, timeout: float = 300.0) -> BenchReport:
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    import platform
+    import statistics
+
     rows: list[BenchRow] = []
     for inst in instances:
         for algorithm in algorithms:

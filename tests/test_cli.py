@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import bbp.solvers
@@ -115,6 +118,37 @@ def test_table_subcommand_csv():
                            "--format", "csv"])
     assert code == 0
     assert out == "r\\m,3,10\n1,2,4\n2,4,9\n"
+
+
+# Run in a fresh interpreter: a test in this process may already have loaded
+# any of the modules checked for.
+IMPORT_PATH_CHECK = """
+import io, sys
+import bbp.cli
+loaded = [name for name in ("dataclasses", "multiprocessing", "concurrent.futures",
+                            "platform", "statistics") if name in sys.modules]
+assert not loaded, loaded
+outs = []
+for jobs in ("2", "1"):
+    out = io.StringIO()
+    code = bbp.cli.run(["table", "--days", "10,25", "--max-per-day", "1..3",
+                        "--jobs", jobs], out=out)
+    assert code == 0, code
+    outs.append(out.getvalue())
+assert outs[0] == outs[1], outs
+print(outs[0], end="")
+"""
+
+
+def test_import_path_leaves_the_pool_for_first_use():
+    src = os.path.dirname(os.path.dirname(bbp.solvers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("| r\\m | 10 | 25 |\n|---|---|---|\n| 1 | 4 | 6 |\n"
+                           "| 2 | 9 | 15 |\n| 3 | 15 | 27 |\n")
 
 
 def test_xcheck_subcommand():

@@ -190,24 +190,44 @@ def test_stirling_window_refuses_a_dropped_top_read():
             ctx.prob(n, 20)
 
 
+SUB_M_CONTEXTS = [CountingContext, DirectContext, StirlingContext, DayContext]
+
+
 @pytest.mark.parametrize("keep_all", [False, True])
-@pytest.mark.parametrize("make", [CountingContext, DirectContext, StirlingContext])
+@pytest.mark.parametrize("make", SUB_M_CONTEXTS)
 def test_contexts_refuse_mm_outside_0_to_m(make, keep_all):
     # A negative mm used to index a layer from its end: count(3, -1) read
-    # N(5, 3) = 120 on the counting and direct routes.
-    ctx = make(5, 2, keep_all=keep_all)
+    # N(5, 3) = 120 on the counting and direct routes, and DayContext's
+    # prob(3, -1) read P(5, 3) = 24/25.  DayContext always keeps every row.
+    ctx = make(5, 2) if make is DayContext else make(5, 2, keep_all=keep_all)
+    reads = [ctx.prob] if make is DayContext else [ctx.count, ctx.prob]
     for mm in (-1, 6):
         for n in (0, 3):
-            with pytest.raises(ValueError):
-                ctx.count(n, mm)
-            with pytest.raises(ValueError):
-                ctx.prob(n, mm)
+            for read in reads:
+                with pytest.raises(ValueError):
+                    read(n, mm)
     if make is CountingContext:
         for mm in (-1, 6):
             with pytest.raises(ValueError):
                 ctx.t_value(mm, 3, 1)
-    assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
-    assert ctx.count(3, 0) == 0
+    assert ctx.prob(3) == ctx.prob(3, 5) == Fraction(24, 25)
+    if make is not DayContext:
+        assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
+        assert ctx.count(3, 0) == 0
+
+
+@pytest.mark.parametrize("make", SUB_M_CONTEXTS)
+def test_prob_at_zero_days(make):
+    # P(0, n) has no sample space for n > 0: it used to raise
+    # ZeroDivisionError (IndexError on DayContext).  P(0, 0) is 1.
+    ctx = make(5, 2)
+    assert ctx.prob(0, 0) == 1
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=r"P\(0, n\) is undefined for n > 0"):
+            ctx.prob(n, 0)
+    if make is not DayContext:
+        assert ctx.count(0, 0) == 1
+        assert ctx.count(3, 0) == 0
 
 
 def test_structural_identity_small():
