@@ -279,3 +279,7 @@ def _dispatch(parser, argv, out) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -5,11 +5,11 @@ lies in [0, m*r].  Every context fills all of 0..n to answer n, so the
 search walks up from 0 and stops at the first n with P < gamma: the fill
 ends exactly at n_max + 1, and the two cells it ends on are the certificate.
 Thresholds are exact rationals and every comparison that decides the
-answer is exact.  The search walks the column context, which costs O(r)
-per n whatever m is.  Mode.FLOAT, kept for `table --float-above`, first
-walks a floating-point direct context to a starting point and then the
-exact direct context to the true crossing: a slower cross-check whose
-answer and certificate equal the exact ones.
+answer is exact.  The exact search is one column fill, O(r) per n whatever
+m is, that tests the threshold as it goes.  Mode.FLOAT, kept for `table
+--float-above`, first walks a floating-point direct context to a starting
+point and then the exact direct context to the true crossing: a slower
+cross-check whose answer and certificate equal the exact ones.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ def find_nmax(req: SearchRequest) -> SearchResult:
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
 
-    start = 0
     if req.mode is Mode.FLOAT:
         fctx = FloatDirectContext(m, r)
         g = float(gamma)
         start = _walk(lambda n: fctx.prob(n) >= g, 0, hi_bound)
         ctx = DirectContext(m, r)
+        n_max = _walk(lambda n: ctx.prob_at_least(n, gamma), start, hi_bound)
     else:
         ctx = ColumnContext(m, r)
-
-    n_max = _walk(lambda n: ctx.prob_at_least(n, gamma), start, hi_bound)
+        # P(m*r + 1) = 0 < gamma, so the fill stops at n_max + 1 at the latest.
+        n_max = ctx.extend(hi_bound + 1, below=gamma) - 1
     return SearchResult(
         n_max=n_max,
         p_at_nmax=ctx.prob(n_max),

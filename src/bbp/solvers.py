@@ -523,16 +523,18 @@ class ColumnContext:
 
     N(m, n, r) = n! [x^n] (sum_{j<=r} x^j / j!)^m (Flajolet & Sedgewick,
     Analytic Combinatorics, II.3).  J. C. P. Miller's power-of-series
-    recurrence (Knuth, TAOCP Vol. 2, 4.7) expands it on integers:
+    recurrence (Knuth, TAOCP Vol. 2, 4.7), n N_n = sum_{j=1..min(r,n)}
+    ((m+1) j - n) C(n, j) N_{n-j}, is stepped with the division by n taken
+    out of each coefficient, where it is exact (j C(n, j) = n C(n-1, j-1)):
 
-        n N_n = sum_{j=1..min(r,n)} ((m+1) j - n) C(n, j) N_{n-j},  N_0 = 1
+        N_n = sum_{j=1..r} (m C(n-1, j-1) - C(n-1, j)) N_{n-j},   n > r,
 
-    and the division by n is exact term by term, since j C(n, j) =
-    n C(n-1, j-1); a remainder can only come from broken coefficient
-    arithmetic.  Only the top-m column is held, so sub-m queries are
-    refused, and only its trailing r+1 counts: the recurrence looks back r,
-    and a search reads n_max after filling n_max + 1.  m**n is kept as a
-    running power, so probabilities never recompute it.
+    so a step multiplies each big count by a coefficient n times smaller
+    than Miller's and divides nothing; a negative count can only come from
+    broken arithmetic.  For n <= r no day can overflow: N_n = m**n.
+    Only the top-m column is held, so sub-m queries are refused, and only
+    its trailing r+1 counts: the recurrence looks back r, and a search reads
+    n_max after filling n_max + 1.  m**n is kept as a running power.
     """
 
     def __init__(self, m: int, r: int):
@@ -542,23 +544,31 @@ class ColumnContext:
         self._counts = Layers(1, r)
         self._pow = 1  # m**n for the newest n
 
-    def extend(self, n: int) -> None:
-        m1, r, layers = self.m + 1, self.r, self._counts
+    def extend(self, n: int, below: Fraction | None = None) -> int:
+        """Fill up to n, or with below only up to the first n it fills with
+        P(m, n) < below; return the newest n filled."""
+        m, r, layers = self.m, self.r, self._counts
         window = layers.items  # window[-j] is N_{nn-j} until nn is appended
         while layers.n < n:
             nn = layers.n + 1
-            total = 0
-            c = 1  # C(nn, j)
-            for j in range(1, min(r, nn) + 1):
-                c = c * (nn - j + 1) // j
-                total += (m1 * j - nn) * c * window[-j]
-            val, rem = divmod(total, nn)
-            if rem or val < 0:
-                raise NegativeCountError(
-                    "column fill lost exactness at m=%d n=%d r=%d" % (self.m, nn, r)
-                )
+            power = self._pow * m
+            if nn <= r:
+                val = power
+            else:
+                val, c, b = 0, 1, nn - 1  # c = C(nn-1, j-1), b = C(nn-1, j)
+                for j in range(1, r + 1):
+                    val += (m * c - b) * window[-j]
+                    c, b = b, b * (nn - 1 - j) // (j + 1)
+                if val < 0:
+                    raise NegativeCountError(
+                        "column fill lost exactness at m=%d n=%d r=%d" % (m, nn, r)
+                    )
             layers.append(val)
-            self._pow *= self.m
+            self._pow = power
+            if below is not None and (below.denominator * val
+                                      < below.numerator * power):
+                break
+        return layers.n
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(m, n, r); an n behind the window raises ValueError."""
@@ -574,11 +584,6 @@ class ColumnContext:
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
         return Fraction(self.count(n, mm), self._power(n))
-
-    def prob_at_least(self, n: int, gamma: Fraction) -> bool:
-        """P(m, n, r) >= gamma without building a reduced Fraction."""
-        t = self.count(n)
-        return gamma.denominator * t >= gamma.numerator * self._power(n)
 
 
 # ---------------------------------------------------------------------------

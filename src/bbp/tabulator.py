@@ -173,6 +173,8 @@ def cross_check(max_m: int, max_n: int, max_r: int,
                 oracle_max_compositions: int = 200_000) -> XCheckReport:
     """Run every exact algorithm (and the oracle where admissible) on every
     instance within bounds and record any disagreement verbatim."""
+    if max_m < 1 or max_n < 0 or max_r < 1:
+        raise ValueError("xcheck requires max_m >= 1, max_n >= 0 and max_r >= 1")
     report = XCheckReport(max_m=max_m, max_n=max_n, max_r=max_r)
     for r in range(1, max_r + 1):
         day = DayContext(max_m, r)

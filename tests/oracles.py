@@ -1,13 +1,14 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
-These enumerate raw objects (assignments, set partitions) and never share
-code with the solvers they check.
+Most enumerate raw objects (assignments, set partitions); miller_counts
+runs a textbook recurrence.  None shares code with the solvers they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 
 def assignments_prob(m: int, n: int, r: int) -> Fraction:
@@ -61,3 +62,16 @@ def partition_count(n: int, k: int, r: int | None = None) -> int:
             continue
         total += 1
     return total
+
+
+def miller_counts(m: int, r: int, n_top: int) -> list[int]:
+    """N(m, n, r) for n = 0..n_top by J. C. P. Miller's recurrence as printed
+    (Knuth, TAOCP Vol. 2, 4.7), one exact division by n per step:
+    n N_n = sum_{j=1..min(r,n)} ((m+1) j - n) C(n, j) N_{n-j}, N_0 = 1."""
+    counts = [1]
+    for n in range(1, n_top + 1):
+        total = sum(((m + 1) * j - n) * comb(n, j) * counts[n - j]
+                    for j in range(1, min(r, n) + 1))
+        assert total % n == 0
+        counts.append(total // n)
+    return counts

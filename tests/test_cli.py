@@ -159,6 +159,25 @@ def test_xcheck_subcommand():
     assert "divergences=0" in out
 
 
+def test_xcheck_refuses_empty_bounds():
+    # Each bound that would leave nothing to check is a usage error, not a pass.
+    for days, people, cap in [("0", "4", "2"), ("-2", "4", "2"), ("3", "-1", "2"),
+                              ("3", "2", "0"), ("3", "2", "-1")]:
+        code, out, err = invoke(["xcheck", "--max-days", days, "--max-people", people,
+                                 "--max-per-day", cap])
+        assert (code, out) == (1, ""), (days, people, cap)
+        assert err.startswith("error: xcheck requires"), err
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(bbp.solvers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "bbp.cli", "nmax", "-m", "365", "-r", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "22\n", "")
+
+
 def test_byte_identical_reruns():
     argv_sets = [
         ["prob", "-m", "50", "-n", "10", "-r", "2"],
@@ -202,7 +221,7 @@ def test_oracle_guard_exit_2():
 
 
 def test_broken_fill_exit_2(monkeypatch):
-    def broken(self, n):
+    def broken(self, n, below=None):
         raise NegativeCountError("planted at n=%d" % n)
 
     monkeypatch.setattr(bbp.solvers.ColumnContext, "extend", broken)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bbp.search import SearchRequest, SearchResult, find_nmax
 from bbp.solvers import (
     AlgorithmId,
+    ColumnContext,
     Mode,
     ProblemInstance,
     StirlingContext,
@@ -119,3 +120,34 @@ def test_nmax_matches_stirling_scan(case, m, r, data):
     for mode in (Mode.EXACT, Mode.FLOAT):
         result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma, mode=mode))
         assert result == SearchResult(expected, probs[expected], probs[expected + 1]), mode
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 80), r=st.integers(1, 14), gamma=open_unit_fractions(),
+       extra=st.integers(0, 30))
+def test_column_stopped_by_below_resumes_like_fresh(m, r, gamma, extra):
+    stopped, fresh = ColumnContext(m, r), ColumnContext(m, r)
+    n_stop = stopped.extend(m * r + 1, below=gamma)
+    n_top = stopped.extend(n_stop + extra)
+    assert n_top == n_stop + extra
+    probs = [fresh.prob(n) for n in range(n_top + 1)]
+    assert probs[n_stop] < gamma and all(p >= gamma for p in probs[:n_stop])
+    for n in range(max(0, n_top - r), n_top + 1):
+        assert stopped.count(n) == fresh.count(n), n
+        assert stopped.prob(n) == probs[n], n
+
+
+@pytest.mark.parametrize("case", ["random", "attained"])
+@settings(deadline=None, max_examples=25)
+@given(m=st.integers(1, 200), r=st.integers(1, 6), data=st.data())
+def test_nmax_matches_column_prob_scan(case, m, r, data):
+    if case == "random":
+        gamma = data.draw(open_unit_fractions())
+    else:  # P at some n <= m*r, so the tie counts as >=
+        gamma = ColumnContext(m, r).prob(data.draw(st.integers(0, m * r)))
+    scan = ColumnContext(m, r)
+    n = 0
+    while scan.prob(n + 1) >= gamma:
+        n += 1
+    result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
+    assert result == SearchResult(n, scan.prob(n), scan.prob(n + 1))

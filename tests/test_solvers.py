@@ -24,7 +24,7 @@ from bbp.solvers import (
     prob_exact,
 )
 from bbp.stirling import NegativeCountError, restricted_stirling2
-from oracles import assignments_count_exact_k, assignments_prob
+from oracles import assignments_count_exact_k, assignments_prob, miller_counts
 
 
 def test_instance_validation():
@@ -375,6 +375,15 @@ def test_column_refuses_other_m():
         column.prob(5, 11)
     with pytest.raises(ValueError):
         ColumnContext(0, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 12, 13, 20])
+def test_column_step_matches_miller_form(r):
+    for m in (1, 2, 3, 7, 30):
+        column = ColumnContext(m, r)
+        want = miller_counts(m, r, m * r + 3)
+        assert [column.count(n) for n in range(m * r + 4)] == want, m
+        assert want[m * r] > 0 and want[m * r + 1:] == [0, 0, 0], m
 
 
 def test_column_fill_guards_exactness():

@@ -96,6 +96,13 @@ def test_cross_check_base_cases():
     assert report.instances_checked == 8  # m=1, n in 0..3, r in {1, 2}
 
 
+def test_cross_check_refuses_each_bound():
+    cross_check(1, 0, 1)  # the smallest grid: m=1, n=0, r=1
+    for bounds in [(0, 3, 2), (3, -1, 2), (3, 3, 0)]:
+        with pytest.raises(ValueError, match="xcheck requires"):
+            cross_check(*bounds)
+
+
 def test_cross_check_small_grid():
     report = cross_check(4, 6, 3)
     assert report.passed
