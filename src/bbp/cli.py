@@ -21,6 +21,7 @@ from .solvers import (
     count_bruteforce,
     count_valid,
     count_valid_stirling,
+    make_context,
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
@@ -89,7 +90,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="number of valid configurations")
     instance_flags(p)
     p.add_argument("--algo", default="stirling",
-                   choices=["counting", "stirling", "brute"])
+                   choices=["counting", "stirling", "direct", "column", "brute"])
     p.add_argument("--format", default="int", choices=["int", "json"])
 
     p = sub.add_parser("nmax", help="largest n keeping the probability >= gamma")
@@ -156,6 +157,9 @@ def _emit_count(args, out) -> None:
         n_valid = count_valid(inst)
     elif args.algo == "brute":
         n_valid = count_bruteforce(inst)
+    elif args.algo in ("direct", "column"):
+        n_valid = 0 if inst.n > inst.m * inst.r else make_context(
+            inst.m, inst.r, AlgorithmId(args.algo)).count(inst.n)
     else:
         n_valid = count_valid_stirling(inst)
     if args.format == "json":

@@ -6,7 +6,9 @@ search walks up from 0 and stops at the first n with P < gamma: the fill
 ends exactly at n_max + 1, and the two cells it ends on are the certificate.
 Thresholds are exact rationals and every comparison that decides the
 answer is exact.  The exact search is one column fill, O(r) per n whatever
-m is, that tests the threshold as it goes.  Mode.FLOAT, kept for `table
+m is, that tests the threshold as it goes: its window holds the counts
+scaled by gamma's denominator, so each n costs r big multiply-adds and one
+compare against gamma's numerator times m**n.  Mode.FLOAT, kept for `table
 --float-above`, first walks a floating-point direct context to a starting
 point and then the exact direct context to the true crossing: a slower
 cross-check whose answer and certificate equal the exact ones.

@@ -29,6 +29,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .exact_arith import Layers, binomial
 from .stirling import NegativeCountError, RestrictedStirling
@@ -232,10 +233,10 @@ class CountingContext:
 
     def extend(self, n: int) -> None:
         m, r, layers = self.m, self.r, self._layers
+        c = binomial(layers.n, r)  # C(nn-1, r), carried from layer to layer
         while layers.n < n:
             nn = layers.n + 1
             prev, back = layers.back(0), layers.back(r)
-            c = binomial(nn - 1, r)
             layer = [[0] * (m + 1) for _ in range(m + 1)]
             for mm in range(1, m + 1):
                 row, prow = layer[mm], prev[mm]
@@ -254,6 +255,7 @@ class CountingContext:
                     row[kk] = val
             layers.append(layer)
             self._n_sums.append(sum(layer[m]))
+            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
         """T(mm, nn, kk, r); layers behind the window raise ValueError."""
@@ -405,10 +407,10 @@ class DirectContext:
             else:
                 self._horizon = n  # full width: lo(nn) stays 0
         m, r, layers = self.m, self.r, self._layers
+        c = binomial(layers.n, r)  # C(nn-1, r), carried from layer to layer
         while layers.n < n:
             nn = layers.n + 1
             prev, back = layers.back(0), layers.back(r)
-            c = binomial(nn - 1, r)
             lo = self._lo(nn)
             lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
             layer = [0] * (m - lo + 1)
@@ -426,6 +428,7 @@ class DirectContext:
                 layer[mm - lo] = val
             layers.append(layer)
             self._top.append(layer[-1])
+            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = _checked_mm(self, mm)
@@ -527,63 +530,74 @@ class ColumnContext:
     ((m+1) j - n) C(n, j) N_{n-j}, is stepped with the division by n taken
     out of each coefficient, where it is exact (j C(n, j) = n C(n-1, j-1)):
 
-        N_n = sum_{j=1..r} (m C(n-1, j-1) - C(n-1, j)) N_{n-j},   n > r,
+        N_n = sum_{j=1..r} a_j(n) N_{n-j},   a_j(n) = m C(n-1, j-1) - C(n-1, j),
 
     so a step multiplies each big count by a coefficient n times smaller
     than Miller's and divides nothing; a negative count can only come from
-    broken arithmetic.  For n <= r no day can overflow: N_n = m**n.
-    Only the top-m column is held, so sub-m queries are refused, and only
-    its trailing r+1 counts: the recurrence looks back r, and a search reads
-    n_max after filling n_max + 1.  m**n is kept as a running power.
+    broken arithmetic.  Pascal's rule steps the coefficients with r small
+    additions, a_j(n+1) = a_j(n) + a_{j-1}(n) with a_0 = -1.  The window
+    starts as r zeros (N_n = 0 for n < 0) below N_0 = 1, so the same step
+    gives N_n = m**n for n <= r.
+
+    The window holds d N_n, d the denominator of the latest threshold a fill
+    ran under (1 before any), so the test P(m, n) < num/d is the one compare
+    d N_n < num m**n, its bound advanced by one multiply by m a step; a new
+    denominator rescales the window once.  Only the top-m column is held,
+    so sub-m queries are refused, and only its trailing r+1 counts: the
+    recurrence looks back r, and a search reads n_max after filling n_max+1.
     """
 
     def __init__(self, m: int, r: int):
         if m < 1 or r < 1:
             raise ValueError("ColumnContext requires m >= 1 and r >= 1")
         self.m, self.r = m, r
-        self._counts = Layers(1, r)
-        self._pow = 1  # m**n for the newest n
+        self._counts = Layers(1, r)  # d N_n, d = self._scale
+        self._counts.items.extendleft([0] * r)  # N_n = 0 for n < 0
+        self._scale = 1
+        # _coeffs[i] multiplies window item i for the next n: 0 for the
+        # oldest item, then a_r .. a_1, then a_0 = -1 for the Pascal step.
+        self._coeffs = [0] * r + [m, -1]
 
     def extend(self, n: int, below: Fraction | None = None) -> int:
         """Fill up to n, or with below only up to the first n it fills with
         P(m, n) < below; return the newest n filled."""
         m, r, layers = self.m, self.r, self._counts
-        window = layers.items  # window[-j] is N_{nn-j} until nn is appended
-        while layers.n < n:
-            nn = layers.n + 1
-            power = self._pow * m
-            if nn <= r:
-                val = power
-            else:
-                val, c, b = 0, 1, nn - 1  # c = C(nn-1, j-1), b = C(nn-1, j)
-                for j in range(1, r + 1):
-                    val += (m * c - b) * window[-j]
-                    c, b = b, b * (nn - 1 - j) // (j + 1)
+        window, coeffs, nn = layers.items, self._coeffs, layers.n
+        bound = 0  # with no threshold, val < 0 is the only stop
+        if below is not None and nn < n:
+            scale, old = below.denominator, self._scale
+            if scale != old:
+                for i, w in enumerate(window):
+                    window[i] = w // old * scale
+                self._scale = scale
+            bound = below.numerator * m ** nn
+        pascal = range(1, r + 1)
+        while nn < n:
+            nn += 1
+            val = sum(map(mul, coeffs, window))
+            window.append(val)
+            for i in pascal:
+                coeffs[i] += coeffs[i + 1]
+            bound *= m
+            if val < bound:
                 if val < 0:
+                    layers.n = nn
                     raise NegativeCountError(
                         "column fill lost exactness at m=%d n=%d r=%d" % (m, nn, r)
                     )
-            layers.append(val)
-            self._pow = power
-            if below is not None and (below.denominator * val
-                                      < below.numerator * power):
                 break
-        return layers.n
+        layers.n = nn
+        return nn
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(m, n, r); an n behind the window raises ValueError."""
         if mm is not None and mm != self.m:
             raise ValueError("ColumnContext holds only m=%d" % self.m)
         self.extend(n)
-        return self._counts[n]
-
-    def _power(self, n: int) -> int:
-        """m**n for a filled n, from the running power."""
-        back = self._counts.n - n
-        return self._pow // self.m ** back if back else self._pow
+        return self._counts[n] // self._scale
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        return Fraction(self.count(n, mm), self._power(n))
+        return Fraction(self.count(n, mm), self.m ** n)
 
 
 # ---------------------------------------------------------------------------

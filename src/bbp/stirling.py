@@ -63,11 +63,11 @@ class RestrictedStirling:
 
     def extend(self, n: int) -> None:
         r, rows = self.r, self._rows
+        c = binomial(rows.n, r)  # C(nn-1, r), carried from row to row
         while rows.n < n:
             nn = rows.n + 1
             row = self._row_list(nn)
             prev, back = rows.back(0), rows.back(r)
-            c = binomial(nn - 1, r)
             # Entries past the end of a shorter row are structurally zero.
             len_prev, len_back = len(prev), len(back) if c else 0
             for k in range(max(1, -(-nn // r)), len(row)):  # nn <= k*r
@@ -83,6 +83,7 @@ class RestrictedStirling:
                     )
                 row[k] = val
             rows.append(row)
+            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def row(self, n: int) -> list[int]:
         """Values {n, k} for k = 0..min(n, k_cap)."""

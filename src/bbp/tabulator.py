@@ -11,6 +11,7 @@ load them.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -86,13 +87,16 @@ def generate_table(spec: TableSpec) -> TableResult:
             jobs.append(
                 (m, r, (spec.gamma.numerator, spec.gamma.denominator), use_float)
             )
-    if spec.jobs > 1:
+    # A pool forks all its workers up front, so start no more than there
+    # are cells or cores to keep busy.
+    workers = min(spec.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # Largest cells first, so the longest one does not start last.
         order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] * jobs[i][1],
                        reverse=True)
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = dict(zip(order, pool.map(_cell_job, [jobs[i] for i in order])))
         values = [done[i] for i in range(len(jobs))]
     else:

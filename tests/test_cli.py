@@ -86,10 +86,23 @@ def test_prob_float_format():
 def test_count_subcommand():
     code, out, _ = invoke(["count", "-m", "3", "-n", "2", "-r", "1"])
     assert (code, out) == (0, "6\n")
-    for algo in ["counting", "stirling", "brute"]:
+    for algo in ["counting", "stirling", "direct", "column", "brute"]:
         code, out, _ = invoke(["count", "-m", "2", "-n", "3", "-r", "2",
                                "--algo", algo])
         assert (code, out) == (0, "6\n")
+        # n = 0 has the one empty assignment; n > m*r has none (pigeonhole).
+        for n, want in [("0", "1\n"), ("5", "0\n"), ("400", "0\n")]:
+            argv = ["count", "-m", "2", "-n", n, "-r", "2", "--algo", algo]
+            assert invoke(argv) == (0, want, ""), argv
+    # Past the oracle's guard every fill route prints the same count, and
+    # the JSON names the route that ran.
+    counts = set()
+    for algo in ["counting", "stirling", "direct", "column"]:
+        code, out, _ = invoke(["count", "-m", "50", "-n", "120", "-r", "3",
+                               "--algo", algo, "--format", "json"])
+        assert code == 0 and json.loads(out)["algorithm"] == algo
+        counts.add(json.loads(out)["count"])
+    assert len(counts) == 1
 
 
 def test_nmax_subcommand():

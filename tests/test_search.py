@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bbp.search import SearchRequest, SearchResult, find_nmax
 from bbp.solvers import (
     AlgorithmId,
     ColumnContext,
+    DirectContext,
     Mode,
     ProblemInstance,
     StirlingContext,
@@ -135,6 +137,43 @@ def test_column_stopped_by_below_resumes_like_fresh(m, r, gamma, extra):
     for n in range(max(0, n_top - r), n_top + 1):
         assert stopped.count(n) == fresh.count(n), n
         assert stopped.prob(n) == probs[n], n
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 40), r=st.integers(1, 10), first=open_unit_fractions(),
+       second=open_unit_fractions(), extra=st.integers(0, 30))
+def test_column_resumes_across_thresholds(m, r, first, second, extra):
+    # The window is rescaled when the second threshold brings a new
+    # denominator, and left as it is when the third extend brings none.
+    assume(first.denominator != second.denominator)
+    ctx, fresh = ColumnContext(m, r), ColumnContext(m, r)
+    n1 = ctx.extend(m * r + 1, below=first)
+    n2 = ctx.extend(m * r + 1 + extra, below=second)
+    n3 = ctx.extend(n2 + extra)
+    probs = [fresh.prob(n) for n in range(n3 + 1)]
+    assert n1 == next(n for n in range(1, m * r + 2) if probs[n] < first)
+    assert n2 == next((n for n in range(n1 + 1, m * r + 2 + extra)
+                       if probs[n] < second), max(n1, m * r + 1 + extra))
+    assert n3 == n2 + extra
+    for n in range(max(0, n3 - r), n3 + 1):
+        assert ctx.count(n) == fresh.count(n), n
+        assert ctx.prob(n) == probs[n], n
+
+
+@pytest.mark.parametrize("m, r", [(365, 1), (50, 3), (200, 2), (30, 7)])
+def test_nmax_with_a_150_bit_denominator(m, r):
+    # Thresholds one 150-bit step either side of an attained P(m, k).
+    scan = DirectContext(m, r)
+    probs = [scan.prob(n) for n in range(m * r + 2)]
+    k = find_nmax(SearchRequest(m=m, r=r)).n_max
+    den = 3 ** 95  # 151 bits, and no factor in common with a power of 2
+    scaled = probs[k] * den
+    for num in (math.floor(scaled), math.ceil(scaled), math.ceil(scaled) + 1):
+        gamma = Fraction(num, den)
+        assert gamma.denominator.bit_length() >= 145
+        n = max(n for n, p in enumerate(probs) if p >= gamma)
+        result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
+        assert result == SearchResult(n, probs[n], probs[n + 1]), num
 
 
 @pytest.mark.parametrize("case", ["random", "attained"])

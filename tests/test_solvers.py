@@ -397,6 +397,22 @@ def test_column_fill_guards_exactness():
             column.extend(9)
 
 
+@pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (10, 4), (365, 10)])
+def test_column_coefficients_follow_pascal(m, r):
+    # After filling n, _coeffs holds a_r .. a_1 of the step to n + 1 between
+    # the 0 that skips the oldest window item and a_0 = -1.
+    column = ColumnContext(m, r)
+    for n in sorted({0, 1, r - 1, r, r + 1, 2 * r + 5, m * r + 2}):
+        column.extend(n)
+        want = [m * math.comb(n, j - 1) - math.comb(n, j) for j in range(r, 0, -1)]
+        assert column._coeffs == [0] + want + [-1], (m, r, n)
+    # P is already 0 here: one step under d = 3, then the rest with no threshold.
+    column.extend(m * r + 9, below=Fraction(1, 3))
+    n = column.extend(m * r + 9)
+    assert column._coeffs[1:-1] == [m * math.comb(n, j - 1) - math.comb(n, j)
+                                    for j in range(r, 0, -1)]
+
+
 def test_column_keeps_a_window():
     # r = 2 keeps the counts of n = 18..20 once the fill reaches 20.
     column, fresh = ColumnContext(10, 2), ColumnContext(10, 2)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -84,10 +86,48 @@ def test_render_dispatch():
         render(result, "yaml")
 
 
-def test_deterministic_across_parallelism():
+def test_deterministic_across_parallelism(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a real pool on any machine
     serial = render_csv(generate_table(small_spec(jobs=1)))
     parallel = render_csv(generate_table(small_spec(jobs=3)))
     assert serial == parallel
+
+
+class _RecordingPool:
+    """A stand-in ProcessPoolExecutor that records max_workers and maps serially."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, m_values, r_values, want", [
+    (5000, 8, [3], [1], []),  # one cell: no pool at all
+    (5000, 8, [3, 10], [1, 2], [4]),  # capped by the four cells
+    (3, 2, [3, 10], [1, 2], [2]),  # capped by the cores
+    (5000, 1, [3, 10], [1, 2], []),  # one core: serial
+    (5000, None, [3, 10], [1, 2], []),  # core count unknown: serial
+])
+def test_jobs_capped_by_cells_and_cores(monkeypatch, jobs, cpus, m_values,
+                                        r_values, want):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    grid = small_spec(m_values=m_values, r_values=r_values)
+    serial = render_csv(generate_table(grid))
+    grid.jobs = jobs
+    assert render_csv(generate_table(grid)) == serial
+    assert _RecordingPool.started == want
 
 
 def test_cross_check_base_cases():
