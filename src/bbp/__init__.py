@@ -13,7 +13,7 @@ from .solvers import (
     Mode,
     ProblemInstance,
     coeff_next,
-    count_valid,
+    count_exact,
     count_valid_stirling,
     prob_bruteforce,
     prob_exact,
@@ -44,7 +44,7 @@ __all__ = [
     "benchmark",
     "binomial",
     "coeff_next",
-    "count_valid",
+    "count_exact",
     "count_valid_stirling",
     "cross_check",
     "find_nmax",

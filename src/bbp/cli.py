@@ -18,10 +18,8 @@ from .solvers import (
     AlgorithmId,
     InstanceTooLargeError,
     ProblemInstance,
-    count_bruteforce,
-    count_valid,
-    count_valid_stirling,
-    make_context,
+    count_exact,
+    count_valid_stirling,  # noqa: F401 -- perfbench/tracing.py wraps it here
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
@@ -153,15 +151,7 @@ def _emit_prob(args, out) -> None:
 
 def _emit_count(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
-    if args.algo == "counting":
-        n_valid = count_valid(inst)
-    elif args.algo == "brute":
-        n_valid = count_bruteforce(inst)
-    elif args.algo in ("direct", "column"):
-        n_valid = 0 if inst.n > inst.m * inst.r else make_context(
-            inst.m, inst.r, AlgorithmId(args.algo)).count(inst.n)
-    else:
-        n_valid = count_valid_stirling(inst)
+    n_valid = count_exact(inst, AlgorithmId(args.algo))
     if args.format == "json":
         out.write(json.dumps({
             "m": inst.m, "n": inst.n, "r": inst.r,
@@ -223,7 +213,10 @@ def _emit_xcheck(args, out) -> None:
 def _emit_bench(args, out) -> int:
     instances = []
     for text in args.instance:
-        m, n, r = (int(x) for x in text.split(","))
+        try:
+            m, n, r = (int(x) for x in text.split(","))
+        except ValueError:
+            raise UsageError("--instance takes M,N,R, got %r" % text) from None
         instances.append(ProblemInstance(m, n, r))
     algorithms = [_algo(name) for name in args.algos.split(",") if name]
     report = benchmark(instances, algorithms, repetitions=args.reps,

@@ -15,8 +15,13 @@ is the ground-truth oracle on small instances.  The column route costs
 O(r) per n whatever m is, and the exact n_max search runs on it.  The
 direct route fills only the cone of mm that P(m, n) depends on, O(min(m,
 n/(r+1))) per n; the Stirling route fills O(min(n, m)) per row and sums
-row n alone; day and counting do O(m) work or more per n and serve as
-cross-checks.  `prob` defaults to direct and `count` to Stirling.
+row n alone; the day route does m min(n, r) big-int multiply-adds per n and
+counting O(m^2), and both serve as cross-checks.  `prob` defaults to direct
+and `count` to Stirling.
+
+Every exact context fills integer counts N(mm, n) of valid assignments and
+reads P(mm, n) = N(mm, n) / mm**n through one shared readout; `make_context`
+picks the context for an `AlgorithmId` from one table, `CONTEXTS`.
 
 The layered fills (counting, direct, float direct, restricted Stirling,
 column) keep their layers in one `exact_arith.Layers` store: the trailing
@@ -88,19 +93,35 @@ class Record:
             "%s=%r" % item for item in vars(self).items()))
 
 
-def _checked_mm(ctx, mm: int | None) -> int:
-    """mm, or ctx.m when mm is None; an mm outside 0..ctx.m raises ValueError."""
-    if mm is not None and not 0 <= mm <= ctx.m:
-        raise ValueError("%s holds only 0 <= mm <= %d" % (type(ctx).__name__, ctx.m))
-    return ctx.m if mm is None else mm
+class _Context:
+    """What every solver context shares: the m and r it serves, the check
+    on a requested mm, and the exact readout P(mm, n) = N(mm, n) / mm**n of
+    the integer count a subclass's count(n, mm) returns.
+    """
 
+    top_only = False  # True for a context that holds mm = m alone
 
-def _checked_prob_mm(ctx, n: int, mm: int | None) -> int:
-    """_checked_mm for P(mm, n), which is undefined at mm = 0 for n > 0."""
-    mm = _checked_mm(ctx, mm)
-    if mm == 0 and n > 0:
-        raise ValueError("P(0, n) is undefined for n > 0: no day to land on")
-    return mm
+    def __init__(self, m: int, r: int):
+        if m < 1 or r < 1:
+            raise ValueError("%s requires m >= 1 and r >= 1" % type(self).__name__)
+        self.m, self.r = m, r
+
+    def _mm(self, mm: int | None) -> int:
+        """mm, or m when mm is None; an mm the context does not hold raises
+        ValueError."""
+        if mm is None:
+            return self.m
+        lowest = self.m if self.top_only else 0
+        if not lowest <= mm <= self.m:
+            raise ValueError("%s holds only %d <= mm <= %d"
+                             % (type(self).__name__, lowest, self.m))
+        return mm
+
+    def prob(self, n: int, mm: int | None = None) -> Fraction:
+        mm = self._mm(mm)
+        if mm == 0 and n > 0:
+            raise ValueError("P(0, n) is undefined for n > 0: no day to land on")
+        return Fraction(self.count(n, mm), mm ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,47 +183,35 @@ def prob_bruteforce(
 # Day-at-a-time recurrence
 
 
-class DayContext:
-    """Exact rational table P(mm, nn) filled one day at a time.
+class DayContext(_Context):
+    """Exact counts N(mm, nn) filled one day at a time.
 
-    Row 1 is the single-day base case; row mm sums over how many of the nn
-    birthdays land on the day being peeled off.  All rows up to m are kept,
-    so sub-instance probabilities can be read out of the same context.
+    The total-probability recurrence, multiplied through by mm**nn, peels
+    off one day and sums over how many of the nn birthdays land on it:
+
+        N(mm, nn) = sum_{k <= min(nn, r)} C(nn, k) N(mm-1, nn-k),
+
+    with N(0, 0) = 1 and N(0, nn) = 0 for nn > 0: m min(nn, r) big-int
+    multiply-adds per nn.  All rows up to m are kept, so sub-instance counts
+    can be read out of the same context.
     """
 
     def __init__(self, m: int, r: int):
-        if m < 1 or r < 1:
-            raise ValueError("DayContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
-        # rows[mm] is the list of P(mm, nn) Fractions.  Row 0 stays at
-        # P(0, 0) = 1, since P(0, nn) is undefined for nn > 0.
-        self._rows: list[list[Fraction]] = [[Fraction(1)] for _ in range(m + 1)]
-        # Per-row powers of (mm-1)/mm, grown alongside the rows.
-        self._q_pows: list[list[Fraction]] = [[Fraction(1)] for _ in range(m + 1)]
+        super().__init__(m, r)
+        self._rows: list[list[int]] = [[1] for _ in range(m + 1)]  # N(mm, nn)
 
     def extend(self, n: int) -> None:
-        r = self.r
-        row1 = self._rows[1]
-        while len(row1) <= n:
-            row1.append(Fraction(1 if len(row1) <= r else 0))
-        for mm in range(2, self.m + 1):
-            prev = self._rows[mm - 1]
-            row = self._rows[mm]
-            q_pows = self._q_pows[mm]
-            q = Fraction(mm - 1, mm)
-            inv_pows = [Fraction(1, mm) ** k for k in range(r + 1)]
-            while len(q_pows) <= n:
-                q_pows.append(q_pows[-1] * q)
-            for nn in range(len(row), n + 1):
-                total = Fraction(0)
-                for k in range(min(nn, r) + 1):
-                    sub = prev[nn - k]
-                    if sub:
-                        total += binomial(nn, k) * inv_pows[k] * q_pows[nn - k] * sub
-                row.append(total)
+        rows = self._rows
+        for nn in range(len(rows[0]), n + 1):
+            low = max(0, nn - self.r)
+            # C(nn, nn - j) multiplies N(mm-1, j) for j = low..nn.
+            coeffs = [binomial(nn, k) for k in range(nn - low, -1, -1)]
+            rows[0].append(0)
+            for mm in range(1, self.m + 1):
+                rows[mm].append(sum(map(mul, coeffs, rows[mm - 1][low:])))
 
-    def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_prob_mm(self, n, mm)
+    def count(self, n: int, mm: int | None = None) -> int:
+        mm = self._mm(mm)
         self.extend(n)
         return self._rows[mm][n]
 
@@ -211,7 +220,7 @@ class DayContext:
 # Counting recurrence T(m, n, k, r)
 
 
-class CountingContext:
+class CountingContext(_Context):
     """Occupancy counts T(mm, nn, kk, r) filled layer by layer over nn.
 
     A layer holds the full (mm, kk) plane for one value of nn; the
@@ -222,9 +231,7 @@ class CountingContext:
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
-        if m < 1 or r < 1:
-            raise ValueError("CountingContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
+        super().__init__(m, r)
         base = [[0] * (m + 1) for _ in range(m + 1)]
         for mm in range(m + 1):
             base[mm][0] = 1  # T(mm, 0, 0, r) = 1
@@ -259,37 +266,25 @@ class CountingContext:
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
         """T(mm, nn, kk, r); layers behind the window raise ValueError."""
-        if kk < 0 or kk > _checked_mm(self, mm):
+        if kk < 0 or kk > self._mm(mm):
             return 0  # more occupied days than days
         self.extend(nn)
         return self._layers[nn][mm][kk]
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(mm, n) = sum over kk of T(mm, n, kk, r)."""
-        mm = _checked_mm(self, mm)
+        mm = self._mm(mm)
         self.extend(n)
         if mm == self.m:
             return self._n_sums[n]
         return sum(self._layers[n][mm])
-
-    def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_prob_mm(self, n, mm)
-        return Fraction(self.count(n, mm), mm ** n)
-
-
-def count_valid(inst: ProblemInstance) -> int:
-    if inst.n == 0:
-        return 1
-    if inst.n > inst.m * inst.r:
-        return 0
-    return CountingContext(inst.m, inst.r).count(inst.n)
 
 
 # ---------------------------------------------------------------------------
 # Restricted-Stirling route
 
 
-class StirlingContext:
+class StirlingContext(_Context):
     """N(mm, n) summed from row n of one restricted-Stirling table.
 
     An answer fills the rows up to n and sums one, O(min(n, m)) terms a row.
@@ -298,9 +293,7 @@ class StirlingContext:
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
-        if m < 1 or r < 1:
-            raise ValueError("StirlingContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
+        super().__init__(m, r)
         self._table = RestrictedStirling(r, k_cap=m, keep_all=keep_all)
 
     def _sum_row(self, row: list[int], n: int, mm: int) -> int:
@@ -317,17 +310,9 @@ class StirlingContext:
         self._table.extend(n)
 
     def count(self, n: int, mm: int | None = None) -> int:
-        mm = _checked_mm(self, mm)
-        if n == 0:
-            return 1
-        if n > mm * self.r:
-            return 0
+        mm = self._mm(mm)
         self.extend(n)
         return self._sum_row(self._table.row(n), n, mm)
-
-    def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_prob_mm(self, n, mm)
-        return Fraction(self.count(n, mm), mm ** n)
 
 
 def count_valid_stirling(inst: ProblemInstance) -> int:
@@ -350,14 +335,7 @@ def coeff_next(prev_coeff, m: int, n: int, r: int):
     return prev_coeff * ((n - 1) * (m - 1)) / ((n - 1 - r) * m)
 
 
-def coeff_direct(m: int, n: int, r: int) -> Fraction:
-    """The correction coefficient C(n-1, r) * (m-1)**(n-1-r) / m**(n-1)."""
-    if n - 1 - r < 0:
-        return Fraction(0)
-    return Fraction(binomial(n - 1, r) * (m - 1) ** (n - 1 - r), m ** (n - 1))
-
-
-class DirectContext:
+class DirectContext(_Context):
     """Exact direct recurrence, carried on valid-configuration counts.
 
     Internally the rational P(mm, nn) is held as the integer count
@@ -383,9 +361,7 @@ class DirectContext:
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
-        if m < 1 or r < 1:
-            raise ValueError("DirectContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
+        super().__init__(m, r)
         self._keep_all = keep_all
         self._restart(0, 0 if keep_all else m)
 
@@ -431,7 +407,7 @@ class DirectContext:
             c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def count(self, n: int, mm: int | None = None) -> int:
-        mm = _checked_mm(self, mm)
+        mm = self._mm(mm)
         self.extend(n)
         if mm == self.m:
             return self._top[n]
@@ -444,10 +420,10 @@ class DirectContext:
         return layer[mm - self._lo(n)]
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        mm = _checked_prob_mm(self, n, mm)
-        if n == 0:
+        if n == 0:  # P(mm, 0) = 1, read without refilling below the band
+            self._mm(mm)
             return Fraction(1)
-        return Fraction(self.count(n, mm), mm ** n)
+        return super().prob(n, mm)
 
     def prob_at_least(self, n: int, gamma: Fraction) -> bool:
         """P(m, n, r) >= gamma without building a reduced Fraction."""
@@ -455,19 +431,20 @@ class DirectContext:
         return gamma.denominator * t >= gamma.numerator * self.m ** n
 
 
-class FloatDirectContext:
+class FloatDirectContext(_Context):
     """Direct recurrence in doubles, coefficients kept incrementally.
 
     A cross-check of the exact routes, not a way to a float answer: the
     exact count over m**n, divided once, is the correctly rounded double
     and is faster on the column route.  Negative round-off is clamped to
     zero, and the recurrence only subtracts, so every value lies in [0, 1].
+    Only the top row is read out.
     """
 
+    top_only = True
+
     def __init__(self, m: int, r: int):
-        if m < 1 or r < 1:
-            raise ValueError("FloatDirectContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
+        super().__init__(m, r)
         self._layers = Layers([1.0] * (m + 1), r)
         self._top = [1.0]
         self._coeffs = [0.0] * (m + 1)  # c(mm, nn) for the next step
@@ -498,8 +475,7 @@ class FloatDirectContext:
             self._top.append(layer[m])
 
     def prob(self, n: int, mm: int | None = None) -> float:
-        if mm is not None and mm != self.m:
-            raise ValueError("FloatDirectContext keeps only the top row")
+        self._mm(mm)
         self.extend(n)
         return self._top[n]
 
@@ -521,7 +497,7 @@ class FloatDirectContext:
 # Column recurrence
 
 
-class ColumnContext:
+class ColumnContext(_Context):
     """Valid-assignment counts N(m, n, r) for one m, O(r) big-int steps per n.
 
     N(m, n, r) = n! [x^n] (sum_{j<=r} x^j / j!)^m (Flajolet & Sedgewick,
@@ -547,10 +523,10 @@ class ColumnContext:
     recurrence looks back r, and a search reads n_max after filling n_max+1.
     """
 
+    top_only = True
+
     def __init__(self, m: int, r: int):
-        if m < 1 or r < 1:
-            raise ValueError("ColumnContext requires m >= 1 and r >= 1")
-        self.m, self.r = m, r
+        super().__init__(m, r)
         self._counts = Layers(1, r)  # d N_n, d = self._scale
         self._counts.items.extendleft([0] * r)  # N_n = 0 for n < 0
         self._scale = 1
@@ -591,32 +567,29 @@ class ColumnContext:
 
     def count(self, n: int, mm: int | None = None) -> int:
         """N(m, n, r); an n behind the window raises ValueError."""
-        if mm is not None and mm != self.m:
-            raise ValueError("ColumnContext holds only m=%d" % self.m)
+        self._mm(mm)
         self.extend(n)
         return self._counts[n] // self._scale
-
-    def prob(self, n: int, mm: int | None = None) -> Fraction:
-        return Fraction(self.count(n, mm), self.m ** n)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
 
+CONTEXTS = {
+    AlgorithmId.DAY_AT_A_TIME: DayContext,
+    AlgorithmId.COUNTING: CountingContext,
+    AlgorithmId.STIRLING: StirlingContext,
+    AlgorithmId.DIRECT: DirectContext,
+    AlgorithmId.COLUMN: ColumnContext,
+}
+
+
 def make_context(m: int, r: int, algorithm: AlgorithmId):
     """A reusable probability context for the given exact algorithm."""
-    if algorithm is AlgorithmId.DAY_AT_A_TIME:
-        return DayContext(m, r)
-    if algorithm is AlgorithmId.COUNTING:
-        return CountingContext(m, r)
-    if algorithm is AlgorithmId.STIRLING:
-        return StirlingContext(m, r)
-    if algorithm is AlgorithmId.DIRECT:
-        return DirectContext(m, r)
-    if algorithm is AlgorithmId.COLUMN:
-        return ColumnContext(m, r)
-    raise ValueError("no incremental context for %s" % algorithm)
+    if algorithm not in CONTEXTS:
+        raise ValueError("no incremental context for %s" % algorithm)
+    return CONTEXTS[algorithm](m, r)
 
 
 def prob_exact(inst: ProblemInstance, algorithm: AlgorithmId,
@@ -629,3 +602,13 @@ def prob_exact(inst: ProblemInstance, algorithm: AlgorithmId,
     if inst.n > inst.m * inst.r:
         return Fraction(0)
     return make_context(inst.m, inst.r, algorithm).prob(inst.n)
+
+
+def count_exact(inst: ProblemInstance, algorithm: AlgorithmId,
+                max_compositions: int = DEFAULT_ORACLE_LIMIT) -> int:
+    """Single-shot count of valid assignments via the chosen algorithm."""
+    if algorithm is AlgorithmId.BRUTE_FORCE:
+        return count_bruteforce(inst, max_compositions)
+    if inst.n > inst.m * inst.r:
+        return 0  # pigeonhole, without a fill
+    return make_context(inst.m, inst.r, algorithm).count(inst.n)

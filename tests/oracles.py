@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected test values.
 
 Most enumerate raw objects (assignments, set partitions); miller_counts
-runs a textbook recurrence.  None shares code with the solvers they check.
+runs a textbook recurrence and coeff_direct evaluates a closed form.  None
+shares code with the solvers they check.
 """
 
 from __future__ import annotations
@@ -75,3 +76,11 @@ def miller_counts(m: int, r: int, n_top: int) -> list[int]:
         assert total % n == 0
         counts.append(total // n)
     return counts
+
+
+def coeff_direct(m: int, n: int, r: int) -> Fraction:
+    """The direct recurrence's correction coefficient in closed form,
+    C(n-1, r) * (m-1)**(n-1-r) / m**(n-1), and 0 for n <= r."""
+    if n - 1 - r < 0:
+        return Fraction(0)
+    return Fraction(comb(n - 1, r) * (m - 1) ** (n - 1 - r), m ** (n - 1))

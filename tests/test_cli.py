@@ -260,6 +260,11 @@ def test_bench_subcommand():
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert [l.split()[3] for l in lines] == ["stirling", "direct"]
     assert all(l.startswith("m=6 n=8 r=2 ") for l in lines)
+    # An instance that is not three integers is a usage error naming the form.
+    for text in ("5,7", "5,7,2,1", "5,x,2"):
+        code, out, err = invoke(["bench", "--instance", text, "--algos", "column"])
+        assert (code, out) == (1, ""), text
+        assert err == "error: --instance takes M,N,R, got %r\n" % text
 
 
 def test_cached_parser_keeps_no_state_between_runs():

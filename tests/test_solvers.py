@@ -15,16 +15,23 @@ from bbp.solvers import (
     ProblemInstance,
     StirlingContext,
     bounded_composition_count,
-    coeff_direct,
     coeff_next,
     count_bruteforce,
-    count_valid,
+    count_exact,
     count_valid_stirling,
     prob_bruteforce,
     prob_exact,
 )
 from bbp.stirling import NegativeCountError, restricted_stirling2
-from oracles import assignments_count_exact_k, assignments_prob, miller_counts
+from oracles import (
+    assignments_count_exact_k,
+    assignments_prob,
+    coeff_direct,
+    miller_counts,
+)
+
+ALL_CONTEXTS = [DayContext, CountingContext, StirlingContext, DirectContext,
+                FloatDirectContext, ColumnContext]
 
 
 def test_instance_validation():
@@ -34,6 +41,13 @@ def test_instance_validation():
         ProblemInstance(1, -1, 1)
     with pytest.raises(ValueError):
         ProblemInstance(1, 1, 0)
+
+
+@pytest.mark.parametrize("make", ALL_CONTEXTS)
+def test_contexts_refuse_m_or_r_below_1(make):
+    for m, r in [(0, 2), (-1, 2), (3, 0), (3, -2)]:
+        with pytest.raises(ValueError, match=make.__name__ + " requires m >= 1"):
+            make(m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +107,15 @@ def test_day_recurrence_equals_oracle():
                 assert DayContext(m, r).prob(n) == assignments_prob(m, n, r), (m, n, r)
 
 
+def test_day_counts_equal_bruteforce():
+    for r in range(1, 4):
+        day = DayContext(4, r)
+        for m in range(1, 5):
+            for n in range(0, 6):
+                assert day.count(n, m) == count_bruteforce(
+                    ProblemInstance(m, n, r)), (m, n, r)
+
+
 # ---------------------------------------------------------------------------
 # Counting recurrence
 
@@ -121,10 +144,10 @@ def test_count_T_matches_assignment_enumeration():
                     ), (m, n, k, r)
 
 
-def test_count_valid_examples():
-    assert count_valid(ProblemInstance(3, 2, 1)) == 6
-    assert count_valid(ProblemInstance(2, 3, 2)) == 6
-    assert count_valid(ProblemInstance(5, 0, 2)) == 1
+def test_count_exact_counting_examples():
+    assert count_exact(ProblemInstance(3, 2, 1), AlgorithmId.COUNTING) == 6
+    assert count_exact(ProblemInstance(2, 3, 2), AlgorithmId.COUNTING) == 6
+    assert count_exact(ProblemInstance(5, 0, 2), AlgorithmId.COUNTING) == 1
 
 
 def test_prob_counting_examples():
@@ -200,10 +223,9 @@ def test_contexts_refuse_mm_outside_0_to_m(make, keep_all):
     # N(5, 3) = 120 on the counting and direct routes, and DayContext's
     # prob(3, -1) read P(5, 3) = 24/25.  DayContext always keeps every row.
     ctx = make(5, 2) if make is DayContext else make(5, 2, keep_all=keep_all)
-    reads = [ctx.prob] if make is DayContext else [ctx.count, ctx.prob]
     for mm in (-1, 6):
         for n in (0, 3):
-            for read in reads:
+            for read in (ctx.count, ctx.prob):
                 with pytest.raises(ValueError):
                     read(n, mm)
     if make is CountingContext:
@@ -211,9 +233,8 @@ def test_contexts_refuse_mm_outside_0_to_m(make, keep_all):
             with pytest.raises(ValueError):
                 ctx.t_value(mm, 3, 1)
     assert ctx.prob(3) == ctx.prob(3, 5) == Fraction(24, 25)
-    if make is not DayContext:
-        assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
-        assert ctx.count(3, 0) == 0
+    assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
+    assert ctx.count(3, 0) == 0
 
 
 @pytest.mark.parametrize("make", SUB_M_CONTEXTS)
@@ -225,9 +246,8 @@ def test_prob_at_zero_days(make):
     for n in (1, 3):
         with pytest.raises(ValueError, match=r"P\(0, n\) is undefined for n > 0"):
             ctx.prob(n, 0)
-    if make is not DayContext:
-        assert ctx.count(0, 0) == 1
-        assert ctx.count(3, 0) == 0
+    assert ctx.count(0, 0) == 1
+    assert ctx.count(3, 0) == 0
 
 
 def test_structural_identity_small():
@@ -487,6 +507,19 @@ def test_all_exact_algorithms_agree_small_grid():
             )
         }
         assert len(set(values.values())) == 1, (m, n, r, values)
+
+
+@pytest.mark.parametrize("algorithm", [a for a in AlgorithmId
+                                       if a is not AlgorithmId.DAY_AT_A_TIME])
+def test_count_exact_closed_forms(algorithm):
+    # n = 0 has the one empty assignment, n > m*r none, and n <= r all m**n.
+    for m in (1, 2, 5):
+        for r in (1, 2, 3):
+            assert count_exact(ProblemInstance(m, 0, r), algorithm) == 1
+            for n in (m * r + 1, m * r + 7):
+                assert count_exact(ProblemInstance(m, n, r), algorithm) == 0
+            for n in range(1, r + 1):
+                assert count_exact(ProblemInstance(m, n, r), algorithm) == m ** n
 
 
 def test_probability_range_and_degenerate_cases():
