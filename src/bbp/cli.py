@@ -19,7 +19,7 @@ from .solvers import (
     InstanceTooLargeError,
     ProblemInstance,
     count_exact,
-    count_valid_stirling,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    count_valid_stirling,
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
@@ -151,7 +151,11 @@ def _emit_prob(args, out) -> None:
 
 def _emit_count(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
-    n_valid = count_exact(inst, AlgorithmId(args.algo))
+    algorithm = AlgorithmId(args.algo)
+    if algorithm is AlgorithmId.STIRLING:
+        n_valid = count_valid_stirling(inst)
+    else:
+        n_valid = count_exact(inst, algorithm)
     if args.format == "json":
         out.write(json.dumps({
             "m": inst.m, "n": inst.n, "r": inst.r,

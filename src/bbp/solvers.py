@@ -288,8 +288,9 @@ class StirlingContext(_Context):
     """N(mm, n) summed from row n of one restricted-Stirling table.
 
     An answer fills the rows up to n and sums one, O(min(n, m)) terms a row.
-    Window mode keeps the last r+1 rows: a read of a dropped n raises
-    ValueError, at mm = m too.  Rows stop at k = m, so mm > m is refused.
+    Window mode keeps the last r+1 rows: a read of a dropped n > 0 raises
+    ValueError, at mm = m too; n = 0 gives 1 without a row.  Rows stop at
+    k = m, so mm > m is refused.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
@@ -311,12 +312,14 @@ class StirlingContext(_Context):
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self._mm(mm)
+        if n == 0:
+            return 1  # no row read: a window that dropped row 0 still answers
         self.extend(n)
         return self._sum_row(self._table.row(n), n, mm)
 
 
 def count_valid_stirling(inst: ProblemInstance) -> int:
-    return StirlingContext(inst.m, inst.r).count(inst.n)
+    return count_exact(inst, AlgorithmId.STIRLING)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +607,10 @@ def prob_exact(inst: ProblemInstance, algorithm: AlgorithmId,
     return make_context(inst.m, inst.r, algorithm).prob(inst.n)
 
 
-def count_exact(inst: ProblemInstance, algorithm: AlgorithmId,
-                max_compositions: int = DEFAULT_ORACLE_LIMIT) -> int:
+def count_exact(inst: ProblemInstance, algorithm: AlgorithmId) -> int:
     """Single-shot count of valid assignments via the chosen algorithm."""
     if algorithm is AlgorithmId.BRUTE_FORCE:
-        return count_bruteforce(inst, max_compositions)
+        return count_bruteforce(inst)
     if inst.n > inst.m * inst.r:
         return 0  # pigeonhole, without a fill
     return make_context(inst.m, inst.r, algorithm).count(inst.n)

@@ -167,6 +167,8 @@ def test_count_valid_stirling_examples():
     assert restricted_stirling2(4, 2, 2) == 3
     assert count_valid_stirling(ProblemInstance(2, 4, 2)) == 6
     assert count_valid_stirling(ProblemInstance(4, 0, 3)) == 1
+    # Pigeonhole: answered without filling 10**7 rows.
+    assert count_valid_stirling(ProblemInstance(2, 10 ** 7, 1)) == 0
 
 
 def test_prob_stirling_examples():
@@ -211,6 +213,7 @@ def test_stirling_window_refuses_a_dropped_top_read():
             ctx.count(n)
         with pytest.raises(ValueError):
             ctx.prob(n, 20)
+    assert ctx.count(0) == 1 and ctx.prob(0, 20) == 1  # n = 0 needs no row
 
 
 SUB_M_CONTEXTS = [CountingContext, DirectContext, StirlingContext, DayContext]
