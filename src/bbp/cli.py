@@ -1,7 +1,7 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
-benchmark timeout, a recurrence that lost exactness, out of memory).
+benchmark timeout or crash, a recurrence that lost exactness, out of memory).
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -24,6 +24,7 @@ from .solvers import (
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
 from .tabulator import (
+    BenchChildError,
     TableSpec,
     benchmark,
     cross_check,
@@ -41,8 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma lists and a..b ranges: "10,25,50" or "1..10"."""
+def _parse_int_list(text: str | None) -> list[int] | None:
+    """Comma lists and a..b ranges: "1,5,9" or "1..10"; None stays None."""
+    if text is None:
+        return None  # TableSpec supplies the paper's grid
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -57,13 +60,6 @@ def _parse_int_list(text: str) -> list[int]:
     if not values:
         raise ValueError("empty list %r" % text)
     return values
-
-
-def _algo(name: str) -> AlgorithmId:
-    try:
-        return AlgorithmId(name)
-    except ValueError:
-        raise UsageError("unknown algorithm %r" % name) from None
 
 
 @functools.cache  # built on the first run(), reused by every later one
@@ -84,22 +80,25 @@ def build_parser() -> _Parser:
                    choices=["frac", "dec", "float", "json"],
                    help="float is the exact value rounded to the nearest double")
     p.add_argument("--digits", type=int, default=12)
+    p.set_defaults(emit=_emit_prob)
 
     p = sub.add_parser("count", help="number of valid configurations")
     instance_flags(p)
     p.add_argument("--algo", default="stirling",
-                   choices=["counting", "stirling", "direct", "column", "brute"])
+                   choices=[a.value for a in AlgorithmId])
     p.add_argument("--format", default="int", choices=["int", "json"])
+    p.set_defaults(emit=_emit_count)
 
     p = sub.add_parser("nmax", help="largest n keeping the probability >= gamma")
     p.add_argument("--days", "-m", type=int, required=True)
     p.add_argument("--max-per-day", "-r", type=int, required=True)
     p.add_argument("--gamma", default="1/2")
     p.add_argument("--format", default="plain", choices=["plain", "json"])
+    p.set_defaults(emit=_emit_nmax)
 
     p = sub.add_parser("table", help="n_max grid over days and caps")
-    p.add_argument("--days", default="10,25,50,100,200,365,500,1000")
-    p.add_argument("--max-per-day", default="1..10")
+    p.add_argument("--days", help="default: the paper's grid")
+    p.add_argument("--max-per-day", help="default: the paper's grid")
     p.add_argument("--gamma", default="1/2")
     p.add_argument("--format", default="markdown",
                    choices=["csv", "markdown", "json"])
@@ -108,17 +107,20 @@ def build_parser() -> _Parser:
                         " walk exactly to the crossing (default: exact in"
                         " every column)")
     p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(emit=_emit_table)
 
     p = sub.add_parser("stirling", help="Stirling numbers of the second kind")
     p.add_argument("--objects", "-n", type=int, required=True)
     p.add_argument("--blocks", "-k", type=int, required=True)
     p.add_argument("--max-size", "-r", type=int, default=None,
                    help="restrict block sizes; omit for the classic number")
+    p.set_defaults(emit=_emit_stirling)
 
     p = sub.add_parser("xcheck", help="cross-validate all algorithms on a grid")
     p.add_argument("--max-days", type=int, required=True)
     p.add_argument("--max-people", type=int, required=True)
     p.add_argument("--max-per-day", type=int, required=True)
+    p.set_defaults(emit=_emit_xcheck)
 
     p = sub.add_parser("bench", help="time the solvers against each other")
     p.add_argument("--instance", action="append", required=True,
@@ -126,13 +128,14 @@ def build_parser() -> _Parser:
     p.add_argument("--algos", default=",".join(a.value for a in AlgorithmId))
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0)
+    p.set_defaults(emit=_emit_bench)
 
     return parser
 
 
 def _emit_prob(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
-    algorithm = _algo(args.algo)
+    algorithm = AlgorithmId(args.algo)
     p = prob_exact(inst, algorithm)
     if args.format == "frac":
         out.write("%d/%d\n" % (p.numerator, p.denominator))
@@ -159,7 +162,7 @@ def _emit_count(args, out) -> None:
     if args.format == "json":
         out.write(json.dumps({
             "m": inst.m, "n": inst.n, "r": inst.r,
-            "algorithm": args.algo, "count": str(n_valid),
+            "algorithm": algorithm.value, "count": str(n_valid),
         }, separators=(",", ":")) + "\n")
     else:
         out.write(str(n_valid) + "\n")
@@ -222,7 +225,7 @@ def _emit_bench(args, out) -> int:
         except ValueError:
             raise UsageError("--instance takes M,N,R, got %r" % text) from None
         instances.append(ProblemInstance(m, n, r))
-    algorithms = [_algo(name) for name in args.algos.split(",") if name]
+    algorithms = [AlgorithmId(name) for name in args.algos.split(",") if name]
     report = benchmark(instances, algorithms, repetitions=args.reps,
                        timeout=args.timeout)
     out.write("# %s, median of %d\n" % (report.environment, report.repetitions))
@@ -247,35 +250,17 @@ def run(argv: list[str] | None = None,
     parser = build_parser()
     try:
         with big_int_strings():
-            return _dispatch(parser, argv, out)
+            args = parser.parse_args(argv)
+            return args.emit(args, out) or 0
     except (UsageError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 1
-    except (InstanceTooLargeError, NegativeCountError) as exc:
+    except (InstanceTooLargeError, NegativeCountError, BenchChildError) as exc:
         err.write("refused: %s\n" % exc)
         return 2
     except MemoryError:
         err.write("refused: out of memory\n")
         return 2
-
-
-def _dispatch(parser, argv, out) -> int:
-    args = parser.parse_args(argv)
-    if args.command == "prob":
-        _emit_prob(args, out)
-    elif args.command == "count":
-        _emit_count(args, out)
-    elif args.command == "nmax":
-        _emit_nmax(args, out)
-    elif args.command == "table":
-        _emit_table(args, out)
-    elif args.command == "stirling":
-        _emit_stirling(args, out)
-    elif args.command == "xcheck":
-        _emit_xcheck(args, out)
-    elif args.command == "bench":
-        return _emit_bench(args, out)
-    return 0
 
 
 def main() -> None:

@@ -37,11 +37,11 @@ class SearchResult(Record):
         self.p_at_nmax_plus_1 = p_at_nmax_plus_1
 
 
-def _check_gamma(gamma: Fraction) -> None:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive (n_max is unbounded otherwise)")
-    if gamma > 1:
-        raise ValueError("gamma must be at most 1")
+def check_gamma(gamma: Fraction) -> None:
+    """Refuse a threshold outside (0, 1]: every n meets gamma <= 0, so n_max
+    is unbounded, and P(m, 0) = 1 meets no gamma above 1."""
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
 
 
 def _walk(at_least, start: int, hi_bound: int) -> int:
@@ -60,7 +60,7 @@ def _walk(at_least, start: int, hi_bound: int) -> int:
 
 def find_nmax(req: SearchRequest) -> SearchResult:
     """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r)."""
-    _check_gamma(req.gamma)
+    check_gamma(req.gamma)
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
 

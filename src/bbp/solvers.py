@@ -225,9 +225,9 @@ class CountingContext(_Context):
 
     A layer holds the full (mm, kk) plane for one value of nn; the
     recurrence looks back 1 and r+1 layers, so only the trailing r+1
-    layers are retained unless keep_all is requested.  Inadmissible kk
-    stay 0, so N(mm, nn) is the sum of row mm; N(m, nn) is recorded for
-    every nn.
+    layers are retained unless keep_all is requested, and a read of a
+    dropped nn raises ValueError, at mm = m too.  Inadmissible kk stay 0,
+    so N(mm, nn) is the sum of row mm.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
@@ -236,7 +236,6 @@ class CountingContext(_Context):
         for mm in range(m + 1):
             base[mm][0] = 1  # T(mm, 0, 0, r) = 1
         self._layers = Layers(base, r, keep_all)
-        self._n_sums = [1]  # N(m, nn) history
 
     def extend(self, n: int) -> None:
         m, r, layers = self.m, self.r, self._layers
@@ -261,7 +260,6 @@ class CountingContext(_Context):
                         )
                     row[kk] = val
             layers.append(layer)
-            self._n_sums.append(sum(layer[m]))
             c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
@@ -275,8 +273,6 @@ class CountingContext(_Context):
         """N(mm, n) = sum over kk of T(mm, n, kk, r)."""
         mm = self._mm(mm)
         self.extend(n)
-        if mm == self.m:
-            return self._n_sums[n]
         return sum(self._layers[n][mm])
 
 
@@ -595,11 +591,10 @@ def make_context(m: int, r: int, algorithm: AlgorithmId):
     return CONTEXTS[algorithm](m, r)
 
 
-def prob_exact(inst: ProblemInstance, algorithm: AlgorithmId,
-               max_compositions: int = DEFAULT_ORACLE_LIMIT) -> Fraction:
+def prob_exact(inst: ProblemInstance, algorithm: AlgorithmId) -> Fraction:
     """Single-shot exact probability via the chosen algorithm."""
     if algorithm is AlgorithmId.BRUTE_FORCE:
-        return prob_bruteforce(inst, max_compositions)
+        return prob_bruteforce(inst)
     if inst.r >= inst.n:
         return Fraction(1)
     if inst.n > inst.m * inst.r:

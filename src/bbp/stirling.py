@@ -43,30 +43,24 @@ def stirling2(n: int, k: int) -> int:
 class RestrictedStirling:
     """Incrementally grown table of {n, k} restricted to block size <= r.
 
-    Rows are indexed by n; each row holds k = 0..k_cap.  By default only the
-    trailing r+1 rows are retained (the recurrence looks back r+1 rows);
-    pass keep_all=True to retain the whole table, e.g. for sweep grids.
+    Rows are indexed by n; each row holds k = 0..min(n, k_cap).  By default
+    only the trailing r+1 rows are retained (the recurrence looks back r+1
+    rows); pass keep_all=True to retain the whole table, e.g. for sweep grids.
     """
 
-    def __init__(self, r: int, k_cap: int | None = None, keep_all: bool = False):
+    def __init__(self, r: int, k_cap: int, keep_all: bool = False):
         if r < 1:
             raise ValueError("restriction r must be >= 1")
         self.r = r
         self.k_cap = k_cap
-        first = self._row_list(0)
-        first[0] = 1
-        self._rows = Layers(first, r, keep_all)
-
-    def _row_list(self, n: int) -> list[int]:
-        width = n if self.k_cap is None else min(n, self.k_cap)
-        return [0] * (width + 1)
+        self._rows = Layers([1], r, keep_all)  # {0, 0} = 1
 
     def extend(self, n: int) -> None:
         r, rows = self.r, self._rows
         c = binomial(rows.n, r)  # C(nn-1, r), carried from row to row
         while rows.n < n:
             nn = rows.n + 1
-            row = self._row_list(nn)
+            row = [0] * (min(nn, self.k_cap) + 1)
             prev, back = rows.back(0), rows.back(r)
             # Entries past the end of a shorter row are structurally zero.
             len_prev, len_back = len(prev), len(back) if c else 0

@@ -1,11 +1,12 @@
 """Batch harness: n_max grids, cross-algorithm validation, benchmarks.
 
-Grid cells are independent jobs, dispatched to a pool largest first; results
-are assembled in spec order so the rendered output is byte-identical
-regardless of worker count.  The process pool, multiprocessing, platform and
-statistics modules are imported on first use, inside the functions that need
-them, so that `import bbp.cli` (the fixed cost of every `bbp` call) does not
-load them.
+`TableSpec` owns a grid's settings: it defaults to the paper's grid and
+checks gamma as `find_nmax` does.  Grid cells are independent jobs,
+dispatched to a pool largest first; results are assembled in spec order so
+the rendered output is byte-identical regardless of worker count.  The
+process pool, multiprocessing, platform and statistics modules are imported
+on first use, inside the functions that need them, so that `import bbp.cli`
+(the fixed cost of every `bbp` call) does not load them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .search import SearchRequest, find_nmax
+from .search import SearchRequest, check_gamma, find_nmax
 from .solvers import (
     AlgorithmId,
+    DEFAULT_ORACLE_LIMIT,
     ColumnContext,
     CountingContext,
     DayContext,
@@ -54,8 +56,7 @@ class TableSpec(Record):
         self.jobs = jobs
         if not self.m_values or not self.r_values:
             raise ValueError("m_values and r_values must be nonempty")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
+        check_gamma(self.gamma)
 
 
 class TableResult(Record):
@@ -139,8 +140,8 @@ def render_json(result: TableResult) -> str:
 RENDERERS = {"csv": render_csv, "markdown": render_markdown, "json": render_json}
 
 
-def render(result: TableResult, output_format: str | None = None) -> str:
-    fmt = output_format or result.spec.output_format
+def render(result: TableResult) -> str:
+    fmt = result.spec.output_format
     try:
         return RENDERERS[fmt](result)
     except KeyError:
@@ -173,32 +174,31 @@ class XCheckReport(Record):
         return not self.divergences
 
 
-def cross_check(max_m: int, max_n: int, max_r: int,
-                oracle_max_compositions: int = 200_000) -> XCheckReport:
+XCHECK_ORACLE_LIMIT = 200_000  # bounded compositions the oracle may enumerate
+
+
+def cross_check(max_m: int, max_n: int, max_r: int) -> XCheckReport:
     """Run every exact algorithm (and the oracle where admissible) on every
     instance within bounds and record any disagreement verbatim."""
     if max_m < 1 or max_n < 0 or max_r < 1:
         raise ValueError("xcheck requires max_m >= 1, max_n >= 0 and max_r >= 1")
     report = XCheckReport(max_m=max_m, max_n=max_n, max_r=max_r)
     for r in range(1, max_r + 1):
-        day = DayContext(max_m, r)
-        counting = CountingContext(max_m, r, keep_all=True)
-        stirling = StirlingContext(max_m, r, keep_all=True)
-        direct = DirectContext(max_m, r, keep_all=True)
-        for ctx in (day, counting, stirling, direct):
+        fills = {
+            AlgorithmId.DAY_AT_A_TIME.value: DayContext(max_m, r),
+            AlgorithmId.COUNTING.value: CountingContext(max_m, r, keep_all=True),
+            AlgorithmId.STIRLING.value: StirlingContext(max_m, r, keep_all=True),
+            AlgorithmId.DIRECT.value: DirectContext(max_m, r, keep_all=True),
+        }
+        for ctx in fills.values():
             ctx.extend(max_n)
         for m in range(1, max_m + 1):
-            column = ColumnContext(m, r)  # holds only its own m
+            # The column context holds only its own m.
+            contexts = {**fills, AlgorithmId.COLUMN.value: ColumnContext(m, r)}
             for n in range(0, max_n + 1):
                 inst = ProblemInstance(m, n, r)
-                values = {
-                    AlgorithmId.DAY_AT_A_TIME.value: day.prob(n, m),
-                    AlgorithmId.COUNTING.value: counting.prob(n, m),
-                    AlgorithmId.STIRLING.value: stirling.prob(n, m),
-                    AlgorithmId.DIRECT.value: direct.prob(n, m),
-                    AlgorithmId.COLUMN.value: column.prob(n),
-                }
-                if bounded_composition_count(m, n, r) <= oracle_max_compositions:
+                values = {name: ctx.prob(n, m) for name, ctx in contexts.items()}
+                if bounded_composition_count(m, n, r) <= XCHECK_ORACLE_LIMIT:
                     values[AlgorithmId.BRUTE_FORCE.value] = prob_bruteforce(inst)
                     report.oracle_checked += 1
                 report.instances_checked += 1
@@ -226,15 +226,19 @@ class BenchRow(Record):
 
 
 class BenchReport(Record):
-    NOTE = ("expected ordering on large instances, exact values throughout:"
-            " column <= direct <= stirling <= day <= counting (not asserted)")
+    NOTE = ("exact values throughout; measured on large instances, not asserted:"
+            " column is faster than direct when r <= min(m, n/(r+1) + 1),"
+            " direct otherwise")
 
-    def __init__(self, rows: list[BenchRow], repetitions: int, environment: str,
-                 note: str = NOTE):
+    def __init__(self, rows: list[BenchRow], repetitions: int, environment: str):
         self.rows = rows
         self.repetitions = repetitions
         self.environment = environment
-        self.note = note
+        self.note = self.NOTE
+
+
+class BenchChildError(Exception):
+    """A timed benchmark child exited without sending its time."""
 
 
 def _bench_target(conn, m, n, r, algorithm_name):
@@ -254,13 +258,17 @@ def _timed_run(m, n, r, algorithm, timeout):
     proc.start()
     child.close()
     proc.join(timeout)
-    if proc.is_alive():
-        proc.terminate()
-        proc.join()
-        return None
-    elapsed = parent.recv() if parent.poll() else None
-    parent.close()
-    return elapsed
+    with parent:
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+            return None
+        try:
+            return parent.recv()
+        except EOFError:  # an exception or a kill ended the child first
+            raise BenchChildError(
+                "bench child for m=%d n=%d r=%d %s exited with code %s and no time"
+                % (m, n, r, algorithm.value, proc.exitcode)) from None
 
 
 def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
@@ -275,8 +283,6 @@ def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
         for algorithm in algorithms:
             if algorithm is AlgorithmId.BRUTE_FORCE:
                 # The oracle is excluded automatically beyond its guard.
-                from .solvers import DEFAULT_ORACLE_LIMIT
-
                 count = bounded_composition_count(inst.m, inst.n, inst.r)
                 if count > DEFAULT_ORACLE_LIMIT:
                     continue

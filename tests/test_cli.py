@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import bbp.solvers
+import bbp.tabulator
 from bbp.cli import run
 from bbp.stirling import NegativeCountError
 
@@ -86,7 +87,7 @@ def test_prob_float_format():
 def test_count_subcommand():
     code, out, _ = invoke(["count", "-m", "3", "-n", "2", "-r", "1"])
     assert (code, out) == (0, "6\n")
-    for algo in ["counting", "stirling", "direct", "column", "brute"]:
+    for algo in ["day", "counting", "stirling", "direct", "column", "brute"]:
         code, out, _ = invoke(["count", "-m", "2", "-n", "3", "-r", "2",
                                "--algo", algo])
         assert (code, out) == (0, "6\n")
@@ -97,7 +98,7 @@ def test_count_subcommand():
     # Past the oracle's guard every fill route prints the same count, and
     # the JSON names the route that ran.
     counts = set()
-    for algo in ["counting", "stirling", "direct", "column"]:
+    for algo in ["day", "counting", "stirling", "direct", "column"]:
         code, out, _ = invoke(["count", "-m", "50", "-n", "120", "-r", "3",
                                "--algo", algo, "--format", "json"])
         assert code == 0 and json.loads(out)["algorithm"] == algo
@@ -217,6 +218,7 @@ def test_usage_errors_exit_1():
         ["prob", "-m", "10", "-n", "5", "-r", "2", "--mode", "float"],
         ["prob", "-m", "10", "-n", "5", "-r", "2", "--precision", "0"],
         ["nmax", "-m", "10", "-r", "1", "--mode", "float"],
+        ["bench", "--instance", "5,7,2", "--algos", "column,magic"],
         ["frobnicate"],
     ]:
         code, out, err = invoke(argv)
@@ -265,6 +267,19 @@ def test_bench_subcommand():
         code, out, err = invoke(["bench", "--instance", text, "--algos", "column"])
         assert (code, out) == (1, ""), text
         assert err == "error: --instance takes M,N,R, got %r\n" % text
+
+
+def test_bench_child_that_dies_exit_2(monkeypatch):
+    # The forked child inherits the patch, raises, and exits without a time.
+    def exhausted(inst, algorithm):
+        raise MemoryError
+
+    monkeypatch.setattr(bbp.tabulator, "prob_exact", exhausted)
+    code, out, err = invoke(["bench", "--instance", "6,8,2", "--algos", "direct",
+                             "--reps", "1"])
+    assert (code, out) == (2, "")
+    assert err == ("refused: bench child for m=6 n=8 r=2 direct exited with"
+                   " code 1 and no time\n")
 
 
 def test_cached_parser_keeps_no_state_between_runs():

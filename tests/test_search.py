@@ -14,6 +14,7 @@ from bbp.solvers import (
     StirlingContext,
     prob_exact,
 )
+from bbp.tabulator import TableSpec
 
 
 def certificate_holds(m, r, gamma, result: SearchResult,
@@ -66,12 +67,12 @@ def test_gamma_one():
 
 
 def test_gamma_validation():
-    with pytest.raises(ValueError):
-        find_nmax(SearchRequest(m=10, r=1, gamma=Fraction(0)))
-    with pytest.raises(ValueError):
-        find_nmax(SearchRequest(m=10, r=1, gamma=Fraction(-1, 2)))
-    with pytest.raises(ValueError):
-        find_nmax(SearchRequest(m=10, r=1, gamma=Fraction(3, 2)))
+    # find_nmax and TableSpec share one range check and one message.
+    for gamma in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\]$"):
+            find_nmax(SearchRequest(m=10, r=1, gamma=gamma))
+        with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\]$"):
+            TableSpec(m_values=[10], r_values=[1], gamma=gamma)
 
 
 def test_float_mode_matches_exact():

@@ -204,16 +204,20 @@ def test_stirling_window_matches_column(data, m, r):
 
 
 def test_stirling_window_refuses_a_dropped_top_read():
-    # r = 3 keeps rows 37..40 once the fill reaches 40, and no count history.
-    ctx, full = StirlingContext(20, 3), StirlingContext(20, 3, keep_all=True)
-    assert ctx.count(40) == full.count(40)
-    assert ctx.count(37) == full.count(37)
-    for n in (36, 5):
-        with pytest.raises(ValueError):
-            ctx.count(n)
-        with pytest.raises(ValueError):
-            ctx.prob(n, 20)
-    assert ctx.count(0) == 1 and ctx.prob(0, 20) == 1  # n = 0 needs no row
+    # r = 3 keeps rows 37..40 once the fill reaches 40, and no count history;
+    # the counting context's window refuses the same reads at mm = m.
+    for make in (StirlingContext, CountingContext):
+        ctx, full = make(20, 3), make(20, 3, keep_all=True)
+        assert ctx.count(40) == full.count(40)
+        assert ctx.count(37) == full.count(37)
+        for n in (36, 5):
+            with pytest.raises(ValueError):
+                ctx.count(n)
+            with pytest.raises(ValueError):
+                ctx.prob(n, 20)
+    stirling = StirlingContext(20, 3)
+    stirling.extend(40)
+    assert stirling.count(0) == 1 and stirling.prob(0, 20) == 1  # n = 0 needs no row
 
 
 SUB_M_CONTEXTS = [CountingContext, DirectContext, StirlingContext, DayContext]
@@ -512,8 +516,7 @@ def test_all_exact_algorithms_agree_small_grid():
         assert len(set(values.values())) == 1, (m, n, r, values)
 
 
-@pytest.mark.parametrize("algorithm", [a for a in AlgorithmId
-                                       if a is not AlgorithmId.DAY_AT_A_TIME])
+@pytest.mark.parametrize("algorithm", list(AlgorithmId))
 def test_count_exact_closed_forms(algorithm):
     # n = 0 has the one empty assignment, n > m*r none, and n <= r all m**n.
     for m in (1, 2, 5):

@@ -113,6 +113,6 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         restricted_stirling2(-1, 0, 2)
     with pytest.raises(ValueError):
-        RestrictedStirling(0)
+        RestrictedStirling(0, k_cap=1)
     with pytest.raises(ValueError):
         stirling2(-2, 1)

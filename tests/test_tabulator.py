@@ -79,11 +79,14 @@ def test_render_json():
 
 
 def test_render_dispatch():
+    # render reads the format from the spec.
     result = generate_table(small_spec())
     assert render(result) == render_markdown(result)
-    assert render(result, "csv") == render_csv(result)
+    result.spec.output_format = "csv"
+    assert render(result) == render_csv(result)
+    result.spec.output_format = "yaml"
     with pytest.raises(ValueError):
-        render(result, "yaml")
+        render(result)
 
 
 def test_deterministic_across_parallelism(monkeypatch):
