@@ -133,23 +133,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _frac(x) -> str:
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _json_line(out, **fields) -> None:
+    out.write(json.dumps(fields, separators=(",", ":")) + "\n")
+
+
 def _emit_prob(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
     algorithm = AlgorithmId(args.algo)
     p = prob_exact(inst, algorithm)
     if args.format == "frac":
-        out.write("%d/%d\n" % (p.numerator, p.denominator))
+        out.write(_frac(p) + "\n")
     elif args.format == "dec":
         out.write(decimal_string(p, args.digits) + "\n")
     elif args.format == "float":
         out.write(repr(float(p)) + "\n")  # int / int rounds correctly
     else:
-        out.write(json.dumps({
-            "m": inst.m, "n": inst.n, "r": inst.r,
-            "algorithm": algorithm.value,
-            "numerator": str(p.numerator),
-            "denominator": str(p.denominator),
-        }, separators=(",", ":")) + "\n")
+        _json_line(out, m=inst.m, n=inst.n, r=inst.r, algorithm=algorithm.value,
+                   numerator=str(p.numerator), denominator=str(p.denominator))
 
 
 def _emit_count(args, out) -> None:
@@ -160,10 +164,8 @@ def _emit_count(args, out) -> None:
     else:
         n_valid = count_exact(inst, algorithm)
     if args.format == "json":
-        out.write(json.dumps({
-            "m": inst.m, "n": inst.n, "r": inst.r,
-            "algorithm": algorithm.value, "count": str(n_valid),
-        }, separators=(",", ":")) + "\n")
+        _json_line(out, m=inst.m, n=inst.n, r=inst.r, algorithm=algorithm.value,
+                   count=str(n_valid))
     else:
         out.write(str(n_valid) + "\n")
 
@@ -172,16 +174,9 @@ def _emit_nmax(args, out) -> None:
     gamma = parse_rational(args.gamma)
     result = find_nmax(SearchRequest(m=args.days, r=args.max_per_day, gamma=gamma))
     if args.format == "json":
-        out.write(json.dumps({
-            "m": args.days, "r": args.max_per_day,
-            "gamma": "%d/%d" % (gamma.numerator, gamma.denominator),
-            "n_max": result.n_max,
-            "p_at_nmax": "%d/%d" % (
-                result.p_at_nmax.numerator, result.p_at_nmax.denominator),
-            "p_at_nmax_plus_1": "%d/%d" % (
-                result.p_at_nmax_plus_1.numerator,
-                result.p_at_nmax_plus_1.denominator),
-        }, separators=(",", ":")) + "\n")
+        _json_line(out, m=args.days, r=args.max_per_day, gamma=_frac(gamma),
+                   n_max=result.n_max, p_at_nmax=_frac(result.p_at_nmax),
+                   p_at_nmax_plus_1=_frac(result.p_at_nmax_plus_1))
     else:
         out.write("%d\n" % result.n_max)
 
@@ -234,7 +229,7 @@ def _emit_bench(args, out) -> int:
     for row in report.rows:
         inst = row.instance
         label = row.algorithm.value
-        if row.timed_out:
+        if row.seconds is None:
             any_timeout = True
             out.write("m=%d n=%d r=%d %s TIMEOUT\n" % (inst.m, inst.n, inst.r, label))
         else:

@@ -42,21 +42,24 @@ class Layers:
     trailing depth + 1 of them, and only those are kept unless keep_all asks
     for every layer (sweeps that read sub-instances need that).  Reading a
     dropped layer raises ValueError.  `items` holds the kept layers, oldest
-    first; a fill whose inner loop reads one scalar per term indexes it
-    directly rather than paying a call to back().
+    first.  `fill` is the one loop that grows a layered recurrence.
     """
 
     def __init__(self, first, depth: int, keep_all: bool = False):
         self.n = 0  # index of the newest layer
         self.items = deque([first], maxlen=None if keep_all else depth + 1)
 
-    def back(self, k: int):
-        """Layer n - k, or None when n - k < 0."""
-        return self.items[-1 - k] if k <= self.n else None
-
-    def append(self, layer) -> None:
-        self.items.append(layer)
-        self.n += 1
+    def fill(self, n: int, r: int, step) -> None:
+        """Append layers up to n.  step(nn, prev, back, c) returns layer nn
+        from prev, layer nn-1, and back, layer nn-1-r, with c = C(nn-1, r);
+        back is None exactly when c == 0."""
+        items = self.items
+        c = binomial(self.n, r)  # carried from layer to layer
+        while self.n < n:
+            nn = self.n + 1
+            items.append(step(nn, items[-1], items[-1 - r] if c else None, c))
+            self.n = nn
+            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
 
     def __getitem__(self, n: int):
         k = self.n - n

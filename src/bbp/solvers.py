@@ -25,7 +25,9 @@ picks the context for an `AlgorithmId` from one table, `CONTEXTS`.
 
 The layered fills (counting, direct, float direct, restricted Stirling,
 column) keep their layers in one `exact_arith.Layers` store: the trailing
-window their recurrence looks back on, or every layer with keep_all.
+window their recurrence looks back on, or every layer with keep_all.  All
+but column advance through `Layers.fill`, which owns the loop and the
+C(nn-1, r) carry; each supplies only its step, the recurrence body.
 """
 
 from __future__ import annotations
@@ -143,17 +145,16 @@ def bounded_composition_count(m: int, n: int, r: int) -> int:
     return ways[n]
 
 
-def count_bruteforce(
-    inst: ProblemInstance, max_compositions: int = DEFAULT_ORACLE_LIMIT
-) -> int:
-    """Valid configurations counted by explicit composition enumeration."""
+def count_bruteforce(inst: ProblemInstance) -> int:
+    """Valid configurations counted by explicit composition enumeration,
+    refused past DEFAULT_ORACLE_LIMIT bounded compositions."""
     m, n, r = inst.m, inst.n, inst.r
     if n > m * r:
         return 0
-    if bounded_composition_count(m, n, r) > max_compositions:
+    if bounded_composition_count(m, n, r) > DEFAULT_ORACLE_LIMIT:
         raise InstanceTooLargeError(
             "brute force refused: more than %d bounded compositions for "
-            "m=%d n=%d r=%d" % (max_compositions, m, n, r)
+            "m=%d n=%d r=%d" % (DEFAULT_ORACLE_LIMIT, m, n, r)
         )
 
     def recurse(bins_left: int, people_left: int, multinomial: int) -> int:
@@ -173,10 +174,8 @@ def count_bruteforce(
     return recurse(m, n, 1)
 
 
-def prob_bruteforce(
-    inst: ProblemInstance, max_compositions: int = DEFAULT_ORACLE_LIMIT
-) -> Fraction:
-    return Fraction(count_bruteforce(inst, max_compositions), inst.m ** inst.n)
+def prob_bruteforce(inst: ProblemInstance) -> Fraction:
+    return Fraction(count_bruteforce(inst), inst.m ** inst.n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +237,27 @@ class CountingContext(_Context):
         self._layers = Layers(base, r, keep_all)
 
     def extend(self, n: int) -> None:
-        m, r, layers = self.m, self.r, self._layers
-        c = binomial(layers.n, r)  # C(nn-1, r), carried from layer to layer
-        while layers.n < n:
-            nn = layers.n + 1
-            prev, back = layers.back(0), layers.back(r)
-            layer = [[0] * (m + 1) for _ in range(m + 1)]
-            for mm in range(1, m + 1):
-                row, prow = layer[mm], prev[mm]
-                brow = back[mm - 1] if c else None
-                for kk in range(1, min(mm, nn) + 1):
-                    if nn > kk * r:
-                        continue  # kk days cannot hold nn birthdays
-                    val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk]
-                    if c:
-                        val -= mm * c * brow[kk - 1]
-                    if val < 0:
-                        raise NegativeCountError(
-                            "counting fill went negative at m=%d n=%d k=%d r=%d"
-                            % (mm, nn, kk, r)
-                        )
-                    row[kk] = val
-            layers.append(layer)
-            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
+        self._layers.fill(n, self.r, self._step)
+
+    def _step(self, nn: int, prev, back, c: int) -> list[list[int]]:
+        m, r = self.m, self.r
+        layer = [[0] * (m + 1) for _ in range(m + 1)]
+        for mm in range(1, m + 1):
+            row, prow = layer[mm], prev[mm]
+            brow = back[mm - 1] if c else None
+            for kk in range(1, min(mm, nn) + 1):
+                if nn > kk * r:
+                    continue  # kk days cannot hold nn birthdays
+                val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk]
+                if c:
+                    val -= mm * c * brow[kk - 1]
+                if val < 0:
+                    raise NegativeCountError(
+                        "counting fill went negative at m=%d n=%d k=%d r=%d"
+                        % (mm, nn, kk, r)
+                    )
+                row[kk] = val
+        return layer
 
     def t_value(self, mm: int, nn: int, kk: int) -> int:
         """T(mm, nn, kk, r); layers behind the window raise ValueError."""
@@ -381,29 +378,27 @@ class DirectContext(_Context):
                 self._restart(max(2 * self._horizon, n), self._low)
             else:
                 self._horizon = n  # full width: lo(nn) stays 0
-        m, r, layers = self.m, self.r, self._layers
-        c = binomial(layers.n, r)  # C(nn-1, r), carried from layer to layer
-        while layers.n < n:
-            nn = layers.n + 1
-            prev, back = layers.back(0), layers.back(r)
-            lo = self._lo(nn)
-            lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
-            layer = [0] * (m - lo + 1)
-            for mm in range(max(lo, 1), m + 1):
-                if nn > mm * r:
-                    continue  # impossible by pigeonhole
-                val = mm * prev[mm - lo_prev]
-                if c:
-                    val -= mm * c * back[mm - 1 - lo_back]
-                    if val < 0:
-                        raise NegativeCountError(
-                            "direct fill went negative at m=%d n=%d r=%d"
-                            % (mm, nn, r)
-                        )
-                layer[mm - lo] = val
-            layers.append(layer)
-            self._top.append(layer[-1])
-            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
+        self._layers.fill(n, self.r, self._step)
+
+    def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
+        m, r = self.m, self.r
+        lo = self._lo(nn)
+        lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
+        layer = [0] * (m - lo + 1)
+        for mm in range(max(lo, 1), m + 1):
+            if nn > mm * r:
+                continue  # impossible by pigeonhole
+            val = mm * prev[mm - lo_prev]
+            if c:
+                val -= mm * c * back[mm - 1 - lo_back]
+                if val < 0:
+                    raise NegativeCountError(
+                        "direct fill went negative at m=%d n=%d r=%d"
+                        % (mm, nn, r)
+                    )
+            layer[mm - lo] = val
+        self._top.append(layer[-1])
+        return layer
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self._mm(mm)
@@ -437,7 +432,9 @@ class FloatDirectContext(_Context):
     exact count over m**n, divided once, is the correctly rounded double
     and is faster on the column route.  Negative round-off is clamped to
     zero, and the recurrence only subtracts, so every value lies in [0, 1].
-    Only the top row is read out.
+    Layers hold P(mm, nn) for every mm <= m, and only the trailing r+1 are
+    kept: prob reads the top row of one of them, and a dropped n raises
+    ValueError.  grid keeps every layer of a fresh fill.
     """
 
     top_only = True
@@ -445,51 +442,41 @@ class FloatDirectContext(_Context):
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
         self._layers = Layers([1.0] * (m + 1), r)
-        self._top = [1.0]
         self._coeffs = [0.0] * (m + 1)  # c(mm, nn) for the next step
 
     def extend(self, n: int) -> None:
-        m, r, layers = self.m, self.r, self._layers
-        while layers.n < n:
-            nn = layers.n + 1
-            prev, back = layers.back(0), layers.back(r)
-            coeffs = self._coeffs
-            if nn == r + 1:
-                for mm in range(1, m + 1):
-                    coeffs[mm] = 1.0 / float(mm) ** r
-            elif nn >= r + 2:
-                for mm in range(1, m + 1):
-                    coeffs[mm] = coeff_next(coeffs[mm], mm, nn, r)
-            layer = [0.0] * (m + 1)
+        self._layers.fill(n, self.r, self._step)
+
+    def _step(self, nn: int, prev: list[float], back, c: int) -> list[float]:
+        m, r, coeffs = self.m, self.r, self._coeffs
+        if nn == r + 1:
             for mm in range(1, m + 1):
-                if nn > mm * r:
-                    continue
-                val = prev[mm]
-                if back is not None:
-                    val -= coeffs[mm] * back[mm - 1]
-                    if val < 0:
-                        val = 0.0
-                layer[mm] = val
-            layers.append(layer)
-            self._top.append(layer[m])
+                coeffs[mm] = 1.0 / float(mm) ** r
+        elif nn >= r + 2:
+            for mm in range(1, m + 1):
+                coeffs[mm] = coeff_next(coeffs[mm], mm, nn, r)
+        layer = [0.0] * (m + 1)
+        for mm in range(1, m + 1):
+            if nn > mm * r:
+                continue
+            val = prev[mm]
+            if back is not None:
+                val -= coeffs[mm] * back[mm - 1]
+                if val < 0:
+                    val = 0.0
+            layer[mm] = val
+        return layer
 
     def prob(self, n: int, mm: int | None = None) -> float:
         self._mm(mm)
         self.extend(n)
-        return self._top[n]
+        return self._layers[n][self.m]
 
     def grid(self, n: int) -> list[list[float]]:
-        """All P(mm, nn) for nn <= n as floats; refills with full retention."""
-        fresh = FloatDirectContext(self.m, self.r)
-        rows: list[list[float]] = [[1.0] * (n + 1) for _ in range(self.m + 1)]
-        for nn in range(1, n + 1):
-            fresh.extend(nn)
-            layer = fresh._layers[nn]
-            for mm in range(self.m + 1):
-                rows[mm][nn] = layer[mm]
-        for nn in range(1, n + 1):
-            rows[0][nn] = 0.0
-        return rows
+        """All P(mm, nn) for nn <= n as floats, rows by mm."""
+        layers = Layers([1.0] * (self.m + 1), self.r, keep_all=True)
+        layers.fill(n, self.r, FloatDirectContext(self.m, self.r)._step)
+        return [list(row) for row in zip(*layers.items)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ bottom-up; recursion depth must never bind since n reaches the thousands.
 
 from __future__ import annotations
 
-from .exact_arith import Layers, binomial
+from .exact_arith import Layers
 
 
 class NegativeCountError(RuntimeError):
@@ -56,28 +56,26 @@ class RestrictedStirling:
         self._rows = Layers([1], r, keep_all)  # {0, 0} = 1
 
     def extend(self, n: int) -> None:
-        r, rows = self.r, self._rows
-        c = binomial(rows.n, r)  # C(nn-1, r), carried from row to row
-        while rows.n < n:
-            nn = rows.n + 1
-            row = [0] * (min(nn, self.k_cap) + 1)
-            prev, back = rows.back(0), rows.back(r)
-            # Entries past the end of a shorter row are structurally zero.
-            len_prev, len_back = len(prev), len(back) if c else 0
-            for k in range(max(1, -(-nn // r)), len(row)):  # nn <= k*r
-                val = prev[k - 1]
-                if k < len_prev:
-                    val += k * prev[k]
-                if k <= len_back:
-                    val -= c * back[k - 1]
-                if val < 0:
-                    raise NegativeCountError(
-                        "restricted Stirling fill went negative at n=%d k=%d r=%d"
-                        % (nn, k, r)
-                    )
-                row[k] = val
-            rows.append(row)
-            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
+        self._rows.fill(n, self.r, self._step)
+
+    def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
+        r = self.r
+        row = [0] * (min(nn, self.k_cap) + 1)
+        # Entries past the end of a shorter row are structurally zero.
+        len_prev, len_back = len(prev), len(back) if c else 0
+        for k in range(max(1, -(-nn // r)), len(row)):  # nn <= k*r
+            val = prev[k - 1]
+            if k < len_prev:
+                val += k * prev[k]
+            if k <= len_back:
+                val -= c * back[k - 1]
+            if val < 0:
+                raise NegativeCountError(
+                    "restricted Stirling fill went negative at n=%d k=%d r=%d"
+                    % (nn, k, r)
+                )
+            row[k] = val
+        return row
 
     def row(self, n: int) -> list[int]:
         """Values {n, k} for k = 0..min(n, k_cap)."""

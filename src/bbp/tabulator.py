@@ -56,6 +56,8 @@ class TableSpec(Record):
         self.jobs = jobs
         if not self.m_values or not self.r_values:
             raise ValueError("m_values and r_values must be nonempty")
+        if output_format not in RENDERERS:
+            raise ValueError("unknown output format %r" % output_format)
         check_gamma(self.gamma)
 
 
@@ -141,11 +143,7 @@ RENDERERS = {"csv": render_csv, "markdown": render_markdown, "json": render_json
 
 
 def render(result: TableResult) -> str:
-    fmt = result.spec.output_format
-    try:
-        return RENDERERS[fmt](result)
-    except KeyError:
-        raise ValueError("unknown output format %r" % fmt) from None
+    return RENDERERS[result.spec.output_format](result)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +157,13 @@ class Divergence(Record):
 
 
 class XCheckReport(Record):
-    def __init__(self, max_m: int, max_n: int, max_r: int,
-                 instances_checked: int = 0, oracle_checked: int = 0,
-                 divergences: list[Divergence] | None = None):
+    def __init__(self, max_m: int, max_n: int, max_r: int):
         self.max_m = max_m
         self.max_n = max_n
         self.max_r = max_r
-        self.instances_checked = instances_checked
-        self.oracle_checked = oracle_checked
-        self.divergences = [] if divergences is None else divergences
+        self.instances_checked = 0
+        self.oracle_checked = 0
+        self.divergences: list[Divergence] = []
 
     @property
     def passed(self) -> bool:
@@ -218,15 +214,14 @@ def cross_check(max_m: int, max_n: int, max_r: int) -> XCheckReport:
 
 class BenchRow(Record):
     def __init__(self, instance: ProblemInstance, algorithm: AlgorithmId,
-                 seconds: float | None, timed_out: bool = False):
+                 seconds: float | None):
         self.instance = instance
         self.algorithm = algorithm
         self.seconds = seconds  # median over repetitions; None when timed out
-        self.timed_out = timed_out
 
 
 class BenchReport(Record):
-    NOTE = ("exact values throughout; measured on large instances, not asserted:"
+    note = ("exact values throughout; measured on large instances, not asserted:"
             " column is faster than direct when r <= min(m, n/(r+1) + 1),"
             " direct otherwise")
 
@@ -234,18 +229,20 @@ class BenchReport(Record):
         self.rows = rows
         self.repetitions = repetitions
         self.environment = environment
-        self.note = self.NOTE
 
 
 class BenchChildError(Exception):
-    """A timed benchmark child exited without sending its time."""
+    """A timed benchmark child raised, or exited without sending its time."""
 
 
 def _bench_target(conn, m, n, r, algorithm_name):
-    inst = ProblemInstance(m, n, r)
     start = time.perf_counter()
-    prob_exact(inst, AlgorithmId(algorithm_name))
-    conn.send(time.perf_counter() - start)
+    try:
+        prob_exact(ProblemInstance(m, n, r), AlgorithmId(algorithm_name))
+    except Exception as exc:  # its name, not a traceback on stderr
+        conn.send(type(exc).__name__)
+    else:
+        conn.send(time.perf_counter() - start)
     conn.close()
 
 
@@ -258,17 +255,20 @@ def _timed_run(m, n, r, algorithm, timeout):
     proc.start()
     child.close()
     proc.join(timeout)
+    label = "bench child for m=%d n=%d r=%d %s" % (m, n, r, algorithm.value)
     with parent:
         if proc.is_alive():
             proc.terminate()
             proc.join()
             return None
         try:
-            return parent.recv()
-        except EOFError:  # an exception or a kill ended the child first
-            raise BenchChildError(
-                "bench child for m=%d n=%d r=%d %s exited with code %s and no time"
-                % (m, n, r, algorithm.value, proc.exitcode)) from None
+            elapsed = parent.recv()
+        except EOFError:  # a kill ended the child first
+            raise BenchChildError("%s exited with code %s and no time"
+                                  % (label, proc.exitcode)) from None
+    if isinstance(elapsed, str):
+        raise BenchChildError("%s raised %s" % (label, elapsed))
+    return elapsed
 
 
 def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
@@ -287,20 +287,12 @@ def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
                 if count > DEFAULT_ORACLE_LIMIT:
                     continue
             timings = []
-            timed_out = False
             for _ in range(repetitions):
                 elapsed = _timed_run(inst.m, inst.n, inst.r, algorithm, timeout)
-                if elapsed is None:
-                    timed_out = True
+                if elapsed is None:  # timed out
                     break
                 timings.append(elapsed)
-            rows.append(
-                BenchRow(
-                    instance=inst,
-                    algorithm=algorithm,
-                    seconds=None if timed_out else statistics.median(timings),
-                    timed_out=timed_out,
-                )
-            )
+            seconds = statistics.median(timings) if len(timings) == repetitions else None
+            rows.append(BenchRow(instance=inst, algorithm=algorithm, seconds=seconds))
     environment = "%s, Python %s" % (platform.platform(), platform.python_version())
     return BenchReport(rows=rows, repetitions=repetitions, environment=environment)

@@ -269,8 +269,8 @@ def test_bench_subcommand():
         assert err == "error: --instance takes M,N,R, got %r\n" % text
 
 
-def test_bench_child_that_dies_exit_2(monkeypatch):
-    # The forked child inherits the patch, raises, and exits without a time.
+def test_bench_child_that_dies_exit_2(monkeypatch, capfd):
+    # The forked child inherits the patch, raises, and sends the error's name.
     def exhausted(inst, algorithm):
         raise MemoryError
 
@@ -278,8 +278,8 @@ def test_bench_child_that_dies_exit_2(monkeypatch):
     code, out, err = invoke(["bench", "--instance", "6,8,2", "--algos", "direct",
                              "--reps", "1"])
     assert (code, out) == (2, "")
-    assert err == ("refused: bench child for m=6 n=8 r=2 direct exited with"
-                   " code 1 and no time\n")
+    assert err == "refused: bench child for m=6 n=8 r=2 direct raised MemoryError\n"
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_cached_parser_keeps_no_state_between_runs():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbp.solvers
 from bbp.solvers import (
     AlgorithmId,
     ColumnContext,
@@ -22,7 +23,7 @@ from bbp.solvers import (
     prob_bruteforce,
     prob_exact,
 )
-from bbp.stirling import NegativeCountError, restricted_stirling2
+from bbp.stirling import NegativeCountError, RestrictedStirling, restricted_stirling2
 from oracles import (
     assignments_count_exact_k,
     assignments_prob,
@@ -72,11 +73,12 @@ def test_bruteforce_matches_assignment_enumeration():
                 ), (m, n, r)
 
 
-def test_bruteforce_guard():
+def test_bruteforce_guard(monkeypatch):
     with pytest.raises(InstanceTooLargeError):
         prob_bruteforce(ProblemInstance(365, 23, 1))
-    with pytest.raises(InstanceTooLargeError):
-        prob_bruteforce(ProblemInstance(10, 10, 5), max_compositions=10)
+    monkeypatch.setattr(bbp.solvers, "DEFAULT_ORACLE_LIMIT", 10)
+    with pytest.raises(InstanceTooLargeError, match="more than 10 "):
+        prob_bruteforce(ProblemInstance(10, 10, 5))
 
 
 def test_bounded_composition_count():
@@ -424,6 +426,20 @@ def test_column_fill_guards_exactness():
             column.extend(9)
 
 
+@pytest.mark.parametrize("make, kept", [
+    (lambda: CountingContext(3, 2, keep_all=True), lambda ctx: ctx._layers[2][3]),
+    (lambda: DirectContext(3, 2, keep_all=True), lambda ctx: ctx._layers[2]),
+    (lambda: RestrictedStirling(2, k_cap=3, keep_all=True), lambda ctx: ctx._rows[2]),
+])
+def test_layered_fills_guard_exactness(make, kept):
+    # A kept count far too small drives the next layer negative.
+    ctx = make()
+    ctx.extend(2)
+    kept(ctx)[-1] -= 10 ** 6
+    with pytest.raises(NegativeCountError):
+        ctx.extend(12)
+
+
 @pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (10, 4), (365, 10)])
 def test_column_coefficients_follow_pascal(m, r):
     # After filling n, _coeffs holds a_r .. a_1 of the step to n + 1 between
@@ -492,6 +508,14 @@ def test_float_mode_matches_exact_small():
                 approx = fctx.prob(n)
                 exact = float(ectx.prob(n))
                 assert abs(approx - exact) <= 1e-11, (m, n, r)
+
+
+@pytest.mark.parametrize("m, r, n", [(1, 1, 3), (5, 2, 12), (17, 3, 60)])
+def test_float_grid_top_row_is_prob(m, r, n):
+    fctx = FloatDirectContext(m, r)
+    assert FloatDirectContext(m, r).grid(n)[m] == [fctx.prob(k) for k in range(n + 1)]
+    with pytest.raises(ValueError, match="dropped"):
+        fctx.prob(n - r - 1)  # the window keeps the last r + 1 layers
 
 
 # ---------------------------------------------------------------------------
