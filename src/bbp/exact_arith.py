@@ -47,13 +47,14 @@ class Layers:
 
     def __init__(self, first, depth: int, keep_all: bool = False):
         self.n = 0  # index of the newest layer
+        self.depth = depth
         self.items = deque([first], maxlen=None if keep_all else depth + 1)
 
-    def fill(self, n: int, r: int, step) -> None:
+    def fill(self, n: int, step) -> None:
         """Append layers up to n.  step(nn, prev, back, c) returns layer nn
-        from prev, layer nn-1, and back, layer nn-1-r, with c = C(nn-1, r);
-        back is None exactly when c == 0."""
-        items = self.items
+        from prev, layer nn-1, and back, layer nn-1-depth, with
+        c = C(nn-1, depth); back is None exactly when c == 0."""
+        items, r = self.items, self.depth
         c = binomial(self.n, r)  # carried from layer to layer
         while self.n < n:
             nn = self.n + 1

@@ -237,7 +237,7 @@ class CountingContext(_Context):
         self._layers = Layers(base, r, keep_all)
 
     def extend(self, n: int) -> None:
-        self._layers.fill(n, self.r, self._step)
+        self._layers.fill(n, self._step)
 
     def _step(self, nn: int, prev, back, c: int) -> list[list[int]]:
         m, r = self.m, self.r
@@ -378,7 +378,7 @@ class DirectContext(_Context):
                 self._restart(max(2 * self._horizon, n), self._low)
             else:
                 self._horizon = n  # full width: lo(nn) stays 0
-        self._layers.fill(n, self.r, self._step)
+        self._layers.fill(n, self._step)
 
     def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
         m, r = self.m, self.r
@@ -445,7 +445,7 @@ class FloatDirectContext(_Context):
         self._coeffs = [0.0] * (m + 1)  # c(mm, nn) for the next step
 
     def extend(self, n: int) -> None:
-        self._layers.fill(n, self.r, self._step)
+        self._layers.fill(n, self._step)
 
     def _step(self, nn: int, prev: list[float], back, c: int) -> list[float]:
         m, r, coeffs = self.m, self.r, self._coeffs
@@ -475,7 +475,7 @@ class FloatDirectContext(_Context):
     def grid(self, n: int) -> list[list[float]]:
         """All P(mm, nn) for nn <= n as floats, rows by mm."""
         layers = Layers([1.0] * (self.m + 1), self.r, keep_all=True)
-        layers.fill(n, self.r, FloatDirectContext(self.m, self.r)._step)
+        layers.fill(n, FloatDirectContext(self.m, self.r)._step)
         return [list(row) for row in zip(*layers.items)]
 
 

@@ -56,7 +56,7 @@ class RestrictedStirling:
         self._rows = Layers([1], r, keep_all)  # {0, 0} = 1
 
     def extend(self, n: int) -> None:
-        self._rows.fill(n, self.r, self._step)
+        self._rows.fill(n, self._step)
 
     def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
         r = self.r
