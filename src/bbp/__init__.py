@@ -20,11 +20,9 @@ from .solvers import (
 )
 from .stirling import restricted_stirling2, stirling2
 from .tabulator import (
-    BenchReport,
     TableResult,
     TableSpec,
     XCheckReport,
-    benchmark,
     cross_check,
     generate_table,
     render,
@@ -32,7 +30,6 @@ from .tabulator import (
 
 __all__ = [
     "AlgorithmId",
-    "BenchReport",
     "InstanceTooLargeError",
     "Mode",
     "ProblemInstance",
@@ -41,7 +38,6 @@ __all__ = [
     "TableResult",
     "TableSpec",
     "XCheckReport",
-    "benchmark",
     "binomial",
     "coeff_next",
     "count_exact",

@@ -1,7 +1,7 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
-benchmark timeout or crash, a recurrence that lost exactness, out of memory).
+a recurrence that lost exactness, out of memory).
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -23,14 +23,7 @@ from .solvers import (
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
-from .tabulator import (
-    BenchChildError,
-    TableSpec,
-    benchmark,
-    cross_check,
-    generate_table,
-    render,
-)
+from .tabulator import TableSpec, cross_check, generate_table, render
 
 
 class UsageError(Exception):
@@ -122,14 +115,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-per-day", type=int, required=True)
     p.set_defaults(emit=_emit_xcheck)
 
-    p = sub.add_parser("bench", help="time the solvers against each other")
-    p.add_argument("--instance", action="append", required=True,
-                   metavar="M,N,R", help="repeatable: days,people,cap")
-    p.add_argument("--algos", default=",".join(a.value for a in AlgorithmId))
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=300.0)
-    p.set_defaults(emit=_emit_bench)
-
     return parser
 
 
@@ -212,32 +197,6 @@ def _emit_xcheck(args, out) -> None:
         out.write("DIVERGENCE m=%d n=%d r=%d %s\n" % (inst.m, inst.n, inst.r, detail))
 
 
-def _emit_bench(args, out) -> int:
-    instances = []
-    for text in args.instance:
-        try:
-            m, n, r = (int(x) for x in text.split(","))
-        except ValueError:
-            raise UsageError("--instance takes M,N,R, got %r" % text) from None
-        instances.append(ProblemInstance(m, n, r))
-    algorithms = [AlgorithmId(name) for name in args.algos.split(",") if name]
-    report = benchmark(instances, algorithms, repetitions=args.reps,
-                       timeout=args.timeout)
-    out.write("# %s, median of %d\n" % (report.environment, report.repetitions))
-    out.write("# %s\n" % report.note)
-    any_timeout = False
-    for row in report.rows:
-        inst = row.instance
-        label = row.algorithm.value
-        if row.seconds is None:
-            any_timeout = True
-            out.write("m=%d n=%d r=%d %s TIMEOUT\n" % (inst.m, inst.n, inst.r, label))
-        else:
-            out.write("m=%d n=%d r=%d %s %.6f\n" % (
-                inst.m, inst.n, inst.r, label, row.seconds))
-    return 2 if any_timeout else 0
-
-
 def run(argv: list[str] | None = None,
         out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
@@ -246,11 +205,12 @@ def run(argv: list[str] | None = None,
     try:
         with big_int_strings():
             args = parser.parse_args(argv)
-            return args.emit(args, out) or 0
+            args.emit(args, out)
+            return 0
     except (UsageError, ValueError) as exc:
         err.write("error: %s\n" % exc)
         return 1
-    except (InstanceTooLargeError, NegativeCountError, BenchChildError) as exc:
+    except (InstanceTooLargeError, NegativeCountError) as exc:
         err.write("refused: %s\n" % exc)
         return 2
     except MemoryError:

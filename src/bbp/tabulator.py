@@ -1,26 +1,22 @@
-"""Batch harness: n_max grids, cross-algorithm validation, benchmarks.
+"""Batch harness: n_max grids and cross-algorithm validation.
 
 `TableSpec` owns a grid's settings: it defaults to the paper's grid and
 checks gamma as `find_nmax` does.  Grid cells are independent jobs,
 dispatched to a pool largest first; results are assembled in spec order so
 the rendered output is byte-identical regardless of worker count.  The
-process pool, multiprocessing, platform and statistics modules are imported
-on first use, inside the functions that need them, so that `import bbp.cli`
-(the fixed cost of every `bbp` call) does not load them.
+process pool is imported on first use, inside `generate_table`, so that
+`import bbp.cli` (the fixed cost of every `bbp` call) does not load it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-import time
 from fractions import Fraction
 
 from .search import SearchRequest, check_gamma, find_nmax
 from .solvers import (
     AlgorithmId,
-    DEFAULT_ORACLE_LIMIT,
     ColumnContext,
     CountingContext,
     DayContext,
@@ -31,7 +27,6 @@ from .solvers import (
     StirlingContext,
     bounded_composition_count,
     prob_bruteforce,
-    prob_exact,
 )
 
 PAPER_M_VALUES = [10, 25, 50, 100, 200, 365, 500, 1000]
@@ -207,92 +202,3 @@ def cross_check(max_m: int, max_n: int, max_r: int) -> XCheckReport:
                     )
     return report
 
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-
-
-class BenchRow(Record):
-    def __init__(self, instance: ProblemInstance, algorithm: AlgorithmId,
-                 seconds: float | None):
-        self.instance = instance
-        self.algorithm = algorithm
-        self.seconds = seconds  # median over repetitions; None when timed out
-
-
-class BenchReport(Record):
-    note = ("exact values throughout; measured on large instances, not asserted:"
-            " column is faster than direct when r <= min(m, n/(r+1) + 1),"
-            " direct otherwise")
-
-    def __init__(self, rows: list[BenchRow], repetitions: int, environment: str):
-        self.rows = rows
-        self.repetitions = repetitions
-        self.environment = environment
-
-
-class BenchChildError(Exception):
-    """A timed benchmark child raised, or exited without sending its time."""
-
-
-def _bench_target(conn, m, n, r, algorithm_name):
-    start = time.perf_counter()
-    try:
-        prob_exact(ProblemInstance(m, n, r), AlgorithmId(algorithm_name))
-    except Exception as exc:  # its name, not a traceback on stderr
-        conn.send(type(exc).__name__)
-    else:
-        conn.send(time.perf_counter() - start)
-    conn.close()
-
-
-def _timed_run(m, n, r, algorithm, timeout):
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork" if sys.platform != "win32" else "spawn")
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_bench_target, args=(child, m, n, r, algorithm.value))
-    proc.start()
-    child.close()
-    proc.join(timeout)
-    label = "bench child for m=%d n=%d r=%d %s" % (m, n, r, algorithm.value)
-    with parent:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-            return None
-        try:
-            elapsed = parent.recv()
-        except EOFError:  # a kill ended the child first
-            raise BenchChildError("%s exited with code %s and no time"
-                                  % (label, proc.exitcode)) from None
-    if isinstance(elapsed, str):
-        raise BenchChildError("%s raised %s" % (label, elapsed))
-    return elapsed
-
-
-def benchmark(instances: list[ProblemInstance], algorithms: list[AlgorithmId],
-              repetitions: int = 3, timeout: float = 300.0) -> BenchReport:
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    import platform
-    import statistics
-
-    rows: list[BenchRow] = []
-    for inst in instances:
-        for algorithm in algorithms:
-            if algorithm is AlgorithmId.BRUTE_FORCE:
-                # The oracle is excluded automatically beyond its guard.
-                count = bounded_composition_count(inst.m, inst.n, inst.r)
-                if count > DEFAULT_ORACLE_LIMIT:
-                    continue
-            timings = []
-            for _ in range(repetitions):
-                elapsed = _timed_run(inst.m, inst.n, inst.r, algorithm, timeout)
-                if elapsed is None:  # timed out
-                    break
-                timings.append(elapsed)
-            seconds = statistics.median(timings) if len(timings) == repetitions else None
-            rows.append(BenchRow(instance=inst, algorithm=algorithm, seconds=seconds))
-    environment = "%s, Python %s" % (platform.platform(), platform.python_version())
-    return BenchReport(rows=rows, repetitions=repetitions, environment=environment)

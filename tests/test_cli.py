@@ -6,7 +6,6 @@ import sys
 from fractions import Fraction
 
 import bbp.solvers
-import bbp.tabulator
 from bbp.cli import run
 from bbp.stirling import NegativeCountError
 
@@ -218,7 +217,7 @@ def test_usage_errors_exit_1():
         ["prob", "-m", "10", "-n", "5", "-r", "2", "--mode", "float"],
         ["prob", "-m", "10", "-n", "5", "-r", "2", "--precision", "0"],
         ["nmax", "-m", "10", "-r", "1", "--mode", "float"],
-        ["bench", "--instance", "5,7,2", "--algos", "column,magic"],
+        ["bench", "--instance", "5,7,2", "--algos", "column,magic"],  # retired
         ["frobnicate"],
     ]:
         code, out, err = invoke(argv)
@@ -255,40 +254,11 @@ def test_out_of_memory_exit_2(monkeypatch):
     assert (code, out, err) == (2, "", "refused: out of memory\n")
 
 
-def test_bench_subcommand():
-    code, out, _ = invoke(["bench", "--instance", "6,8,2",
-                           "--algos", "stirling,direct", "--reps", "1"])
-    assert code == 0
-    lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert [l.split()[3] for l in lines] == ["stirling", "direct"]
-    assert all(l.startswith("m=6 n=8 r=2 ") for l in lines)
-    # An instance that is not three integers is a usage error naming the form.
-    for text in ("5,7", "5,7,2,1", "5,x,2"):
-        code, out, err = invoke(["bench", "--instance", text, "--algos", "column"])
-        assert (code, out) == (1, ""), text
-        assert err == "error: --instance takes M,N,R, got %r\n" % text
-
-
-def test_bench_child_that_dies_exit_2(monkeypatch, capfd):
-    # The forked child inherits the patch, raises, and sends the error's name.
-    def exhausted(inst, algorithm):
-        raise MemoryError
-
-    monkeypatch.setattr(bbp.tabulator, "prob_exact", exhausted)
-    code, out, err = invoke(["bench", "--instance", "6,8,2", "--algos", "direct",
-                             "--reps", "1"])
-    assert (code, out) == (2, "")
-    assert err == "refused: bench child for m=6 n=8 r=2 direct raised MemoryError\n"
-    assert "Traceback" not in capfd.readouterr().err
-
-
 def test_cached_parser_keeps_no_state_between_runs():
     # The parser is built once per process; each call parses afresh.
-    bench = ["bench", "--instance", "5,7,2", "--algos", "column", "--reps", "1"]
-    for _ in range(2):
-        code, out, _ = invoke(bench)
-        rows = [l for l in out.splitlines() if not l.startswith("#")]
-        assert code == 0 and len(rows) == 1 and rows[0].startswith("m=5 n=7 r=2 column ")
+    xcheck = ["xcheck", "--max-days", "3", "--max-people", "4", "--max-per-day", "2"]
+    assert invoke(xcheck) == invoke(xcheck) == (
+        0, "instances=30 oracle=30 divergences=0\n", "")
     prob = ["prob", "-m", "3", "-n", "2", "-r", "1", "--format", "json"]
     assert json.loads(invoke(prob + ["--algo", "column"])[1])["algorithm"] == "column"
     assert json.loads(invoke(prob)[1])["algorithm"] == "direct"

@@ -6,10 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from bbp.search import SearchRequest, SearchResult
-from bbp.solvers import AlgorithmId, Mode, ProblemInstance
+from bbp.solvers import Mode, ProblemInstance
 from bbp.tabulator import (
-    BenchReport,
-    BenchRow,
     Divergence,
     TableResult,
     TableSpec,
@@ -26,9 +24,6 @@ def test_default_construction():
     req = SearchRequest(365, 2)
     assert (req.m, req.r, req.gamma) == (365, 2, Fraction(1, 2))
     assert req.mode is Mode.EXACT
-    row = BenchRow(ProblemInstance(3, 2, 1), AlgorithmId.COLUMN, 0.5)
-    assert row.seconds == 0.5
-    assert "column" in BenchReport([row], 3, "env").note
     report = XCheckReport(4, 5, 2)
     assert (report.instances_checked, report.oracle_checked) == (0, 0)
     assert report.divergences == [] and report.passed

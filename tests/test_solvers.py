@@ -81,6 +81,25 @@ def test_bruteforce_guard(monkeypatch):
         prob_bruteforce(ProblemInstance(10, 10, 5))
 
 
+def test_bruteforce_enumerates_only_valid_branches(monkeypatch):
+    # Every branch of the enumeration ends in a bounded composition, so it
+    # takes at most m binomials per composition: here 2 * 1501, where trying
+    # every k at the last bin would take about 1.1 million.
+    m, n, r = 2, 1500, 1500
+    limit = m * bounded_composition_count(m, n, r)
+    comb, calls = math.comb, 0
+
+    def counted_comb(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise AssertionError("more than %d binomials" % limit)
+        return comb(a, b)
+
+    monkeypatch.setattr(bbp.solvers.math, "comb", counted_comb)
+    assert prob_bruteforce(ProblemInstance(m, n, r)) == 1
+
+
 def test_bounded_composition_count():
     # All compositions of 3 into 2 parts of size <= 2: (1,2), (2,1).
     assert bounded_composition_count(2, 3, 2) == 2
@@ -541,14 +560,27 @@ def test_all_exact_algorithms_agree_small_grid():
 
 
 @pytest.mark.parametrize("algorithm", list(AlgorithmId))
-def test_count_exact_closed_forms(algorithm):
-    # n = 0 has the one empty assignment, n > m*r none, and n <= r all m**n.
+def test_count_exact_closed_forms(algorithm, monkeypatch):
+    # r = 1 leaves a falling factorial, n = m*r a multinomial coefficient.
+    for m in (1, 2, 5, 7):
+        for n in range(m + 3):
+            assert count_exact(ProblemInstance(m, n, 1), algorithm) == math.perm(m, n)
+        for r in (1, 2, 3):
+            assert count_exact(ProblemInstance(m, m * r, r), algorithm) == (
+                math.factorial(m * r) // math.factorial(r) ** m), (m, r)
+    # n <= r gives all m**n (n = 0 the one empty assignment) and n > m*r
+    # none; every route but the oracle answers them without a context.
+    if algorithm is not AlgorithmId.BRUTE_FORCE:
+        def no_context(m, r, algorithm):
+            raise AssertionError("a context was made for m=%d r=%d" % (m, r))
+
+        monkeypatch.setattr(bbp.solvers, "make_context", no_context)
+        assert count_exact(ProblemInstance(5, 3, 2 * 10**7), algorithm) == 125
     for m in (1, 2, 5):
         for r in (1, 2, 3):
-            assert count_exact(ProblemInstance(m, 0, r), algorithm) == 1
             for n in (m * r + 1, m * r + 7):
                 assert count_exact(ProblemInstance(m, n, r), algorithm) == 0
-            for n in range(1, r + 1):
+            for n in range(r + 1):
                 assert count_exact(ProblemInstance(m, n, r), algorithm) == m ** n
 
 

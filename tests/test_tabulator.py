@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 import bbp.tabulator
-from bbp.solvers import AlgorithmId, ProblemInstance
 from bbp.tabulator import (
     TableSpec,
-    benchmark,
     cross_check,
     generate_table,
     render,
@@ -156,25 +154,3 @@ def test_cross_check_small_grid():
     assert report.passed
     assert report.instances_checked == 4 * 7 * 3
     assert report.oracle_checked == report.instances_checked
-
-
-def test_benchmark_structure():
-    inst = ProblemInstance(10, 8, 2)
-    report = benchmark([inst], [AlgorithmId.STIRLING, AlgorithmId.DIRECT],
-                       repetitions=1, timeout=60.0)
-    # One exact row per algorithm.
-    assert [row.algorithm for row in report.rows] == [AlgorithmId.STIRLING,
-                                                      AlgorithmId.DIRECT]
-    for row in report.rows:
-        assert row.seconds >= 0  # None only on a timeout
-
-
-def test_benchmark_empty_algorithms():
-    report = benchmark([ProblemInstance(5, 3, 2)], [], repetitions=1)
-    assert report.rows == []
-
-
-def test_benchmark_excludes_oversized_oracle():
-    big = ProblemInstance(365, 23, 1)
-    report = benchmark([big], [AlgorithmId.BRUTE_FORCE], repetitions=1)
-    assert report.rows == []
