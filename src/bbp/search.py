@@ -4,11 +4,16 @@ P is nonincreasing in n and hits zero past n = m*r (pigeonhole), so n_max
 lies in [0, m*r].  Every context fills all of 0..n to answer n, so the
 search walks up from 0 and stops at the first n with P < gamma: the fill
 ends exactly at n_max + 1, and the two cells it ends on are the certificate.
-Thresholds are exact rationals and every comparison that decides the
-answer is exact.  The exact search is one column fill, O(r) per n whatever
-m is, that tests the threshold as it goes: its window holds the counts
-scaled by gamma's denominator, so each n costs r big multiply-adds and one
-compare against gamma's numerator times m**n.  Mode.FLOAT, kept for `table
+Thresholds are exact rationals, and every comparison that decides the
+answer is exact or provably rounds the right way.  The exact search is one
+column fill, O(r) per n whatever m is, that tests the threshold as it goes:
+its window holds the counts scaled by gamma's denominator, so each n costs r
+big multiply-adds and one compare against gamma's numerator times m**n.
+Past 3000 bits (r <= 100) the fill steps integer EGF coefficients instead,
+with one-digit multipliers and one exact division by n, and tests P in float
+log2, with the exact compare inside a proven bound on its rounding error.  A
+table cell asks for n_max alone (certify=False), which skips building the
+two reduced certificate Fractions.  Mode.FLOAT, kept for `table
 --float-above`, first walks a floating-point direct context to a starting
 point and then the exact direct context to the true crossing: a slower
 cross-check whose answer and certificate equal the exact ones.
@@ -31,7 +36,11 @@ class SearchRequest(Record):
 
 
 class SearchResult(Record):
-    def __init__(self, n_max: int, p_at_nmax: Fraction, p_at_nmax_plus_1: Fraction):
+    """n_max and its certificate, P(n_max) >= gamma > P(n_max + 1); the two
+    probabilities are None when the search was asked for n_max alone."""
+
+    def __init__(self, n_max: int, p_at_nmax: Fraction | None,
+                 p_at_nmax_plus_1: Fraction | None):
         self.n_max = n_max
         self.p_at_nmax = p_at_nmax
         self.p_at_nmax_plus_1 = p_at_nmax_plus_1
@@ -58,8 +67,9 @@ def _walk(at_least, start: int, hi_bound: int) -> int:
     return n
 
 
-def find_nmax(req: SearchRequest) -> SearchResult:
-    """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r)."""
+def find_nmax(req: SearchRequest, certify: bool = True) -> SearchResult:
+    """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r),
+    with the two probabilities that certify it unless certify is False."""
     check_gamma(req.gamma)
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
@@ -74,6 +84,8 @@ def find_nmax(req: SearchRequest) -> SearchResult:
         ctx = ColumnContext(m, r)
         # P(m*r + 1) = 0 < gamma, so the fill stops at n_max + 1 at the latest.
         n_max = ctx.extend(hi_bound + 1, below=gamma) - 1
+    if not certify:
+        return SearchResult(n_max, None, None)
     return SearchResult(
         n_max=n_max,
         p_at_nmax=ctx.prob(n_max),

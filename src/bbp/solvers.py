@@ -12,13 +12,17 @@ random birthdays over m days leave no day with more than r of them:
 
 All exact routes return identical reduced rationals; the brute-force route
 is the ground-truth oracle on small instances.  The column route costs
-O(r) per n whatever m is, and the exact n_max search runs on it.  The
+O(r) per n whatever m is, and the exact n_max search runs on it; past 3000
+bits, and for r <= 100, it steps narrower integer EGF coefficients.  The
 direct route fills only the cone of mm that P(m, n) depends on, O(min(m,
 n/(r+1))) per n; the Stirling route fills O(min(n, m)) per row and sums
 row n alone; the day route does m min(n, r) big-int multiply-adds per n and
 counting O(m^2), and both serve as cross-checks.  `prob` defaults to direct
-and `count` to Stirling.  Measured on large instances, not asserted: column
-is faster than direct when r <= min(m, n/(r+1) + 1), direct otherwise.
+and `count` to Stirling.  Measured on large instances, not asserted, with
+w = min(m, n/(r+1) + 1): column is faster than direct when r <= w, and for
+r <= 100 up to r = 2.5 w (n_max at m = 50, r = 100: 0.61 s against 0.70 s);
+direct is faster at r = 4.8 w (P(50, 2000, 100): 0.07-0.09 s against 0.16
+s) and wherever r > 100 and r > w.
 
 Every exact context fills integer counts N(mm, n) of valid assignments and
 reads P(mm, n) = N(mm, n) / mm**n through one shared readout; `make_context`
@@ -37,12 +41,20 @@ import math
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .exact_arith import Layers, binomial
 from .stirling import NegativeCountError, RestrictedStirling
 
-DEFAULT_ORACLE_LIMIT = 10_000_000
+# Bounded compositions the brute-force oracle may enumerate: about 1.7 us
+# each, so a third of a second at the limit.
+DEFAULT_ORACLE_LIMIT = 200_000
+# The column fill moves to the EGF step once N_n is wider than EGF_SWITCH_BITS,
+# for r <= EGF_MAX_R: past that, its 720 coefficient rows of r integers
+# outgrow the column window (m = 10, n = 2000, r = 1000: 295 MiB against
+# 16 MiB, and 7.0 s against 5.4 s).
+EGF_SWITCH_BITS = 3000
+EGF_MAX_R = 100
 
 
 class InstanceTooLargeError(Exception):
@@ -486,6 +498,74 @@ class FloatDirectContext(_Context):
 # Column recurrence
 
 
+class _EgfScale:
+    """Integer scaling of the EGF coefficients u_n = N_n / n! for one (m, r).
+
+    V_n = u_n Q_n with Q_n = prod_{p <= r prime} p^floor(n / d_p), where d_p
+    is the largest divisor of 720 not above p - 1.  Legendre's formula gives
+    v_p(j!) <= floor((j - 1) / (p - 1)), so the denominator of every term
+    prod 1/k_i! of u_n divides Q_n and V_n is an integer.  So is
+
+        H_j(n) = Q_n / (Q_{n-j} j!),
+
+    and it depends on n mod L alone, L = lcm(d_p), which divides 720.
+    Miller's recurrence n u_n = sum_j ((m+1) j - n) u_{n-j} / j! becomes
+
+        n V_n = sum_{j=1..r} c_j(n) V_{n-j},   c_j(n) = ((m+1) j - n) H_j(n),
+
+    and c(n) = c(n - L) - L H(n mod L): one vector subtraction a step.
+    `rows[n mod L]` holds [c(n), L H] for the latest n of that residue,
+    each aligned with the window as [0, x_r, ..., x_1], and is built when
+    its residue is first reached, by H_j(n) = H_{j-1}(n) g(n-j+1) / j with
+    g(n) = Q_n / Q_{n-1}.
+    """
+
+    def __init__(self, m: int, r: int):
+        self.m, self.r = m, r
+        divisors = [d for d in range(1, r) if 720 % d == 0]
+        primes = [p for p in range(2, r + 1)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        self.periods = [(p, max(d for d in divisors if d < p)) for p in primes]
+        self.period = L = math.lcm(*(d for _, d in self.periods))
+        self.g = [math.prod(p for p, d in self.periods if k % d == 0)
+                  for k in range(L)]
+        log2m = math.log2(m)
+        self.log2_step = [math.log2(g) + log2m for g in self.g]  # log2(g(n) m)
+        self.log2_bound = log2m + sum(math.log2(p) for p, _ in self.periods) + 1
+        self.rows: list[list[list[int]] | None] = [None] * L
+        self.log2_p = 0.0  # log2(n! / (Q_n m**n)) at the newest n, as a float
+
+    def q(self, n: int) -> int:
+        """Q_n."""
+        return math.prod(p ** (n // d) for p, d in self.periods)
+
+    def row(self, n: int) -> list[list[int]]:
+        """Build and keep the row of n."""
+        h, L = [1], self.period
+        for j in range(1, self.r + 1):
+            h.append(h[-1] * self.g[(n - j + 1) % L] // j)
+        a, js = self.m + 1, range(self.r, 0, -1)
+        row = self.rows[n % L] = [[0] + [(a * j - n) * h[j] for j in js],
+                                  [0] + [L * h[j] for j in js]]
+        return row
+
+    def margin(self, n: int, log2_gamma: float) -> float:
+        """A bound on the rounding error of log2(V_k) + log2_p - log2_gamma
+        at every k <= n.
+
+        Every float in that sum is below B = n (log2 n + log2 m + sum log2 p
+        + 1) + |log2_gamma| + 1 in size: log2(k!) <= k log2 k, log2 Q_k <= k
+        sum log2 p, and 1 <= V_k <= m**k Q_k / k!.  Each math.log2 is within
+        an ulp of its result, so the start of log2_p, each of the k steps
+        added to it, and the readout log2(V_k) - log2_gamma each carry at
+        most 4 ulp(B): 4 (k + 2) ulp(B) in all, which the margin doubles.
+        Plain accumulation drifts by about k ulp(|log2_p|), which passes
+        1e-6 near k = 10^5, so no fixed margin holds at every n.
+        """
+        bound = n * (math.log2(n) + self.log2_bound) + abs(log2_gamma) + 1
+        return 8 * (n + 8) * math.ulp(bound)
+
+
 class ColumnContext(_Context):
     """Valid-assignment counts N(m, n, r) for one m, O(r) big-int steps per n.
 
@@ -510,22 +590,41 @@ class ColumnContext(_Context):
     denominator rescales the window once.  Only the top-m column is held,
     so sub-m queries are refused, and only its trailing r+1 counts: the
     recurrence looks back r, and a search reads n_max after filling n_max+1.
+
+    Once N_n passes 2**EGF_SWITCH_BITS, with r <= EGF_MAX_R, the fill
+    switches for good to the integer EGF step of `_EgfScale`.  The window is
+    converted once to V_k = N_k Q_k / k! (4396 bits against 16317 for N_k at
+    m = 500, r = 10, n = 1820), whose multipliers are a digit or two wide,
+    and each step divides by n exactly (a remainder or a negative V raises
+    NegativeCountError).  The threshold test there reads P(m, n) = n! V_n /
+    (Q_n m**n) in float log2, and inside `_EgfScale.margin` falls back to
+    the exact compare d n! V_n < num m**n Q_n.  Short walks keep the column
+    step, whose per-step Python cost is lower.  count(n) reads N_n = n! V_n
+    / Q_n back, exactly.
     """
 
     top_only = True
 
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
-        self._counts = Layers(1, r)  # d N_n, d = self._scale
+        self._counts = Layers(1, r)  # d N_n (d = self._scale), or V_n once _egf is set
         self._counts.items.extendleft([0] * r)  # N_n = 0 for n < 0
         self._scale = 1
         # _coeffs[i] multiplies window item i for the next n: 0 for the
         # oldest item, then a_r .. a_1, then a_0 = -1 for the Pascal step.
         self._coeffs = [0] * r + [m, -1]
+        self._egf: _EgfScale | None = None
 
     def extend(self, n: int, below: Fraction | None = None) -> int:
         """Fill up to n, or with below only up to the first n it fills with
         P(m, n) < below; return the newest n filled."""
+        if self._egf is None and not self._fill_column(n, below):
+            return self._counts.n
+        return self._fill_egf(n, below)
+
+    def _fill_column(self, n: int, below: Fraction | None) -> bool:
+        """The column steps of extend; True when N_n grew past the switch and
+        the window now holds V."""
         m, r, layers = self.m, self.r, self._counts
         window, coeffs, nn = layers.items, self._coeffs, layers.n
         bound = 0  # with no threshold, val < 0 is the only stop
@@ -536,6 +635,7 @@ class ColumnContext(_Context):
                     window[i] = w // old * scale
                 self._scale = scale
             bound = below.numerator * m ** nn
+        switch = self._scale << EGF_SWITCH_BITS if r <= EGF_MAX_R else math.inf
         pascal = range(1, r + 1)
         while nn < n:
             nn += 1
@@ -551,6 +651,67 @@ class ColumnContext(_Context):
                         "column fill lost exactness at m=%d n=%d r=%d" % (m, nn, r)
                     )
                 break
+            if val > switch:
+                layers.n = nn
+                self._switch()
+                return True
+        layers.n = nn
+        return False
+
+    def _switch(self) -> None:
+        """Convert the window from d N_k to V_k = N_k Q_k / k!."""
+        m, r, window, nn = self.m, self.r, self._counts.items, self._counts.n
+        egf = _EgfScale(m, r)
+        low = max(nn - r, 0)
+        fact, q = math.factorial(low), egf.q(low)
+        for i, k in enumerate(range(nn - r, nn + 1)):
+            if k > low:
+                fact *= k
+                q *= egf.g[k % egf.period]  # Q_k = Q_{k-1} g(k)
+            if window[i]:
+                v, rem = divmod(window[i] // self._scale * q, fact)
+                if rem:
+                    raise NegativeCountError(
+                        "column count N_%d does not scale to an integer V at "
+                        "m=%d r=%d" % (k, m, r))
+                window[i] = v
+        egf.row(nn)
+        egf.log2_p = math.log2(fact) - math.log2(q) - nn * math.log2(m)
+        self._egf = egf
+
+    def _fill_egf(self, n: int, below: Fraction | None) -> int:
+        """The EGF steps of extend."""
+        m, r, layers, egf = self.m, self.r, self._counts, self._egf
+        window, nn, log2_p, log2 = layers.items, layers.n, egf.log2_p, math.log2
+        rows, period, log2_step = egf.rows, egf.period, egf.log2_step
+        test = below is not None and below > 0 and nn < n
+        if test:
+            num, den = below.numerator, below.denominator
+            log2_gamma = log2(num) - log2(den)
+            margin = egf.margin(n, log2_gamma)
+        while nn < n:
+            nn += 1
+            k = nn % period
+            row = rows[k]
+            if row is None:
+                row = egf.row(nn)
+            else:
+                row[0] = list(map(sub, row[0], row[1]))
+            v, rem = divmod(sum(map(mul, row[0], window)), nn)
+            if rem or v < 0:
+                layers.n = nn - 1
+                raise NegativeCountError(
+                    "column fill lost exactness at m=%d n=%d r=%d" % (m, nn, r))
+            window.append(v)
+            log2_p += log2(nn) - log2_step[k]
+            if test:
+                if not v:
+                    break  # P = 0 < below
+                x = log2(v) + log2_p - log2_gamma
+                if x < margin and (x < -margin or den * math.factorial(nn) * v
+                                   < num * m ** nn * egf.q(nn)):
+                    break
+        egf.log2_p = log2_p
         layers.n = nn
         return nn
 
@@ -558,7 +719,14 @@ class ColumnContext(_Context):
         """N(m, n, r); an n behind the window raises ValueError."""
         self._mm(mm)
         self.extend(n)
-        return self._counts[n] // self._scale
+        if self._egf is None:
+            return self._counts[n] // self._scale
+        count, rem = divmod(math.factorial(n) * self._counts[n], self._egf.q(n))
+        if rem:
+            raise NegativeCountError(
+                "EGF value V_%d does not read out to an integer count at "
+                "m=%d r=%d" % (n, self.m, self.r))
+        return count
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import bbp.solvers
 from bbp.cli import run
+from bbp.solvers import DEFAULT_ORACLE_LIMIT, bounded_composition_count
 from bbp.stirling import NegativeCountError
 
 
@@ -232,6 +233,16 @@ def test_oracle_guard_exit_2():
     assert code == 2
     assert out == ""
     assert err.startswith("refused:")
+
+
+def test_oracle_limit_refuses_past_200k_compositions():
+    # (9, 14, 5) has 205,560 bounded compositions, just past the limit: it
+    # is refused from the count alone, before any is enumerated.
+    assert bounded_composition_count(9, 14, 5) == 205_560 > DEFAULT_ORACLE_LIMIT
+    code, out, err = invoke(["prob", "-m", "9", "-n", "14", "-r", "5",
+                             "--algo", "brute"])
+    assert (code, out) == (2, "")
+    assert err.startswith("refused:") and "200000" in err
 
 
 def test_broken_fill_exit_2(monkeypatch):

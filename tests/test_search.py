@@ -191,3 +191,19 @@ def test_nmax_matches_column_prob_scan(case, m, r, data):
         n += 1
     result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
     assert result == SearchResult(n, scan.prob(n), scan.prob(n + 1))
+
+
+@pytest.mark.parametrize("m, r", [(365, 10), (30, 40)])
+def test_nmax_past_the_egf_switch_at_attained_gamma(m, r):
+    # gamma = P(n_max) and 10^-40 either side of it, far inside the float
+    # test's margin, so the exact compare decides each stop.
+    k = find_nmax(SearchRequest(m=m, r=r)).n_max
+    column = ColumnContext(m, r)
+    column.extend(k - 1)
+    assert column._egf is not None  # the walk is past the switch
+    direct = DirectContext(m, r)
+    probs = {n: direct.prob(n) for n in (k - 1, k, k + 1)}
+    eps = Fraction(1, 10 ** 40)
+    for gamma, n in [(probs[k], k), (probs[k] + eps, k - 1), (probs[k] - eps, k)]:
+        result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
+        assert result == SearchResult(n, probs[n], probs[n + 1]), gamma

@@ -425,13 +425,20 @@ def test_column_refuses_other_m():
         ColumnContext(0, 2)
 
 
-@pytest.mark.parametrize("r", [1, 2, 12, 13, 20])
-def test_column_step_matches_miller_form(r):
-    for m in (1, 2, 3, 7, 30):
-        column = ColumnContext(m, r)
-        want = miller_counts(m, r, m * r + 3)
-        assert [column.count(n) for n in range(m * r + 4)] == want, m
-        assert want[m * r] > 0 and want[m * r + 1:] == [0, 0, 0], m
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 10, 12, 13, 20, 25])
+def test_column_step_matches_miller_form(monkeypatch, r):
+    # With the EGF step forced after 4 bits, and with its switch (3000
+    # bits) never reached: every count here is below 365**300.
+    for switch_bits in (4, bbp.solvers.EGF_SWITCH_BITS):
+        monkeypatch.setattr(bbp.solvers, "EGF_SWITCH_BITS", switch_bits)
+        for m in (1, 2, 3, 7, 30, 365):
+            top = min(m * r + 3, 300)
+            column = ColumnContext(m, r)
+            want = miller_counts(m, r, top)
+            assert [column.count(n) for n in range(top + 1)] == want, m
+            assert (column._egf is not None) == (max(want) > 1 << switch_bits)
+            if top == m * r + 3:
+                assert want[m * r] > 0 and want[m * r + 1:] == [0, 0, 0], m
 
 
 def test_column_fill_guards_exactness():
@@ -443,6 +450,18 @@ def test_column_fill_guards_exactness():
         column._counts.items[-1] += delta  # N_2
         with pytest.raises(NegativeCountError):
             column.extend(9)
+
+
+def test_egf_fill_guards_exactness():
+    # A V_400 off by one moves the sum for 401 V_401 by c_1(401) = (366 -
+    # 401) g(401) = -70, which leaves a remainder in the next division by n.
+    for delta in (1, -1):
+        column = ColumnContext(365, 10)
+        column.extend(400)
+        assert column._egf is not None
+        column._counts.items[-1] += delta
+        with pytest.raises(NegativeCountError, match="n=401"):
+            column.extend(401)
 
 
 @pytest.mark.parametrize("make, kept", [
@@ -460,9 +479,11 @@ def test_layered_fills_guard_exactness(make, kept):
 
 
 @pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (10, 4), (365, 10)])
-def test_column_coefficients_follow_pascal(m, r):
+def test_column_coefficients_follow_pascal(monkeypatch, m, r):
     # After filling n, _coeffs holds a_r .. a_1 of the step to n + 1 between
-    # the 0 that skips the oldest window item and a_0 = -1.
+    # the 0 that skips the oldest window item and a_0 = -1.  The EGF switch
+    # is put out of reach: N_n stays below 2**31000 here.
+    monkeypatch.setattr(bbp.solvers, "EGF_SWITCH_BITS", 40_000)
     column = ColumnContext(m, r)
     for n in sorted({0, 1, r - 1, r, r + 1, 2 * r + 5, m * r + 2}):
         column.extend(n)
@@ -473,6 +494,36 @@ def test_column_coefficients_follow_pascal(m, r):
     n = column.extend(m * r + 9)
     assert column._coeffs[1:-1] == [m * math.comb(n, j - 1) - math.comb(n, j)
                                     for j in range(r, 0, -1)]
+    assert column._egf is None
+
+
+@pytest.mark.parametrize("m, r", [(20, 1), (3, 2), (10, 4), (365, 10), (50, 20)])
+def test_egf_coefficients_follow_their_identity(monkeypatch, m, r):
+    # The row of step n holds c_j(n) = ((m+1) j - n) H_j(n) for j = r..1,
+    # H_j(n) = Q_n / (Q_{n-j} j!) an integer, Q_n = prod p^(n // d_p) over
+    # the primes p <= r, d_p the largest divisor of 720 below p.  The rows
+    # are stepped by c(n) = c(n - L) - L H, so the check runs past two
+    # periods where m*r allows (L = 720 at r = 20).
+    monkeypatch.setattr(bbp.solvers, "EGF_SWITCH_BITS", 4)
+    divisors = [d for d in range(1, 721) if 720 % d == 0]
+    periods = [(p, max(d for d in divisors if d < p)) for p in range(2, r + 1)
+               if all(p % q for q in range(2, p))]
+    period = math.lcm(*(d for _, d in periods))
+
+    def h(n, j):  # Q_n / (Q_{n-j} j!), from the exponents of Q
+        return Fraction(math.prod(p ** (n // d - (n - j) // d)
+                                  for p, d in periods), math.factorial(j))
+
+    column = ColumnContext(m, r)
+    for n in range(1, min(m * r, 2 * period + 30)):
+        column.extend(n)
+        if column._egf is None:
+            continue  # before the switch
+        hs = [h(n, j) for j in range(r, 0, -1)]
+        assert all(x.denominator == 1 for x in hs), (m, r, n)
+        want = [((m + 1) * j - n) * x for j, x in zip(range(r, 0, -1), hs)]
+        assert column._egf.rows[n % period][0] == [0] + want, (m, r, n)
+    assert column._egf.period == period
 
 
 def test_column_keeps_a_window():

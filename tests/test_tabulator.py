@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bbp.solvers
 import bbp.tabulator
 from bbp.tabulator import (
     TableSpec,
@@ -90,6 +91,15 @@ def test_render_dispatch(monkeypatch):
     monkeypatch.setattr(bbp.tabulator, "find_nmax", no_cells)
     with pytest.raises(ValueError, match="unknown output format 'yaml'"):
         generate_table(TableSpec(output_format="yaml"))
+
+
+def test_table_cells_build_no_certificate(monkeypatch):
+    # A cell keeps n_max alone, so no P(n) is read out as a Fraction.
+    def no_readout(self, n, mm=None):
+        raise AssertionError("a cell built a certificate")
+
+    monkeypatch.setattr(bbp.solvers.ColumnContext, "prob", no_readout)
+    assert generate_table(small_spec()).cells == [[2, 4], [4, 9]]
 
 
 def test_deterministic_across_parallelism(monkeypatch):
