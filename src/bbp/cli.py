@@ -1,7 +1,7 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
-a recurrence that lost exactness, out of memory).
+a recurrence that lost exactness, out of memory), 130 interrupted (Ctrl-C).
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -219,7 +219,11 @@ def run(argv: list[str] | None = None,
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        sys.exit(run())
+    except KeyboardInterrupt:  # not in run(): in-process callers must see it
+        sys.stderr.write("interrupted\n")
+        sys.exit(130)
 
 
 if __name__ == "__main__":

@@ -46,8 +46,7 @@ from operator import mul, sub
 from .exact_arith import Layers, binomial
 from .stirling import NegativeCountError, RestrictedStirling
 
-# Bounded compositions the brute-force oracle may enumerate: about 1.7 us
-# each, so a third of a second at the limit.
+# Bounded compositions the brute-force oracle may enumerate: 1 s at most, small n.
 DEFAULT_ORACLE_LIMIT = 200_000
 # The column fill moves to the EGF step once N_n is wider than EGF_SWITCH_BITS,
 # for r <= EGF_MAX_R: past that, its 720 coefficient rows of r integers
@@ -144,49 +143,52 @@ class _Context:
 
 
 def bounded_composition_count(m: int, n: int, r: int) -> int:
-    """Number of tuples (k_1..k_m) with sum n and every k_i <= r."""
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for _ in range(m):
-        new = [0] * (n + 1)
-        for total in range(n + 1):
-            w = ways[total]
-            if w:
-                for k in range(min(r, n - total) + 1):
-                    new[total + k] += w
-        ways = new
-    return ways[n]
+    """Number of tuples (k_1..k_m) with sum n and every k_i <= r, by
+    inclusion-exclusion over the days given more than r (Flajolet &
+    Sedgewick, Analytic Combinatorics, ch. I) at the symmetric min(n, m r - n):
+    sum_k (-1)^k C(m, k) C(n - k(r+1) + m - 1, m - 1), at most
+    min(m, n/(r+1)) + 1 terms and none when n > m r."""
+    n = min(n, m * r - n)
+    return sum((-1) ** k * math.comb(m, k)
+               * math.comb(n - k * (r + 1) + m - 1, m - 1)
+               for k in range(n // (r + 1) + 1))
 
 
 def count_bruteforce(inst: ProblemInstance) -> int:
     """Valid configurations counted by explicit composition enumeration,
-    refused past DEFAULT_ORACLE_LIMIT bounded compositions."""
+    refused past DEFAULT_ORACLE_LIMIT bounded compositions.
+
+    A branch puts k >= 1 people on the next occupied day b only if the days
+    after b hold the rest: every branch ends in a composition, and empty days
+    are never walked.  A stack of lazy iterators, one per occupied day, holds
+    the walk, since its depth and its breadth can both reach n.
+    """
     m, n, r = inst.m, inst.n, inst.r
-    if n > m * r:
-        return 0
     if bounded_composition_count(m, n, r) > DEFAULT_ORACLE_LIMIT:
         raise InstanceTooLargeError(
             "brute force refused: more than %d bounded compositions for "
             "m=%d n=%d r=%d" % (DEFAULT_ORACLE_LIMIT, m, n, r)
         )
 
-    def recurse(bins_left: int, people_left: int, multinomial: int) -> int:
-        if bins_left == 0:
-            return multinomial  # the last bin took everyone left
-        # k runs from what the other bins_left - 1 bins (r each) cannot hold
-        # up to what this bin can: every branch ends in a composition, and
-        # an empty range counts none.
-        total = 0
-        for k in range(max(0, people_left - (bins_left - 1) * r),
-                       min(r, people_left) + 1):
-            total += recurse(
-                bins_left - 1,
-                people_left - k,
-                multinomial * math.comb(people_left, k),
-            )
-        return total
+    def branches(first: int, left: int, multinomial: int):
+        low = max(1, left - (m - 1 - first) * r)  # what later days cannot hold
+        ways = math.comb(left, low)
+        for k in range(low, min(r, left) + 1):
+            product = multinomial * ways
+            for b in range(first, m - (left - k + r - 1) // r):  # b+1.. hold left-k
+                yield b + 1, left - k, product
+            ways = ways * (left - k) // (k + 1)
 
-    return recurse(m, n, 1)
+    total, stack = 0, [iter([(0, n, 1)])]  # (first day, people left, multinomial)
+    while stack:
+        for first, left, multinomial in stack[-1]:
+            if left:
+                stack.append(branches(first, left, multinomial))
+                break
+            total += multinomial
+        else:
+            stack.pop()
+    return total
 
 
 def prob_bruteforce(inst: ProblemInstance) -> Fraction:

@@ -1,11 +1,13 @@
 """Stirling numbers of the second kind, classic and size-restricted.
 
-The restricted variant counts partitions of an n-set into k unlabeled
-nonempty blocks, each block holding at most r elements.  Both are filled
-bottom-up; recursion depth must never bind since n reaches the thousands.
+{n, k} is (1/k!) sum_{j<=k} (-1)^(k-j) C(k, j) j^n (Graham, Knuth & Patashnik,
+Concrete Mathematics, 6.1).  The restricted {n, k}_{<=r} caps every block at
+r elements and is filled bottom-up, without recursion: n reaches thousands.
 """
 
 from __future__ import annotations
+
+import math
 
 from .exact_arith import Layers
 
@@ -23,21 +25,12 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 requires n >= 0")
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1  # k == 0 here
-    if k == 0:
-        return 0
-    # Two-row iteration over the three-case recurrence.
-    row = [1] + [0] * k  # n' = 0
-    for np in range(1, n + 1):
-        new = [0] * (k + 1)
-        for kp in range(1, min(np, k) + 1):
-            if kp == 1:
-                new[kp] = 1
-            else:
-                new[kp] = row[kp - 1] + kp * row[kp]
-        row = new
-    return row[k]
+    total, remainder = divmod(
+        sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)),
+        math.factorial(k))
+    if remainder or total < 0:
+        raise NegativeCountError("stirling2 sum inexact at n=%d k=%d" % (n, k))
+    return total
 
 
 class RestrictedStirling:

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+import bbp.cli
 import bbp.solvers
 from bbp.cli import run
 from bbp.solvers import DEFAULT_ORACLE_LIMIT, bounded_composition_count
@@ -173,6 +176,12 @@ def test_xcheck_subcommand():
     assert "divergences=0" in out
 
 
+def test_xcheck_reaches_the_oracle_past_a_thousand_days():
+    code, out, err = invoke(["xcheck", "--max-days", "1200", "--max-people", "0",
+                             "--max-per-day", "1"])
+    assert (code, out, err) == (0, "instances=1200 oracle=1200 divergences=0\n", "")
+
+
 def test_xcheck_refuses_empty_bounds():
     # Each bound that would leave nothing to check is a usage error, not a pass.
     for days, people, cap in [("0", "4", "2"), ("-2", "4", "2"), ("3", "-1", "2"),
@@ -263,6 +272,21 @@ def test_out_of_memory_exit_2(monkeypatch):
     monkeypatch.setattr(bbp.solvers.DirectContext, "extend", exhausted)
     code, out, err = invoke(["prob", "-m", "10", "-n", "5", "-r", "2"])
     assert (code, out, err) == (2, "", "refused: out of memory\n")
+
+
+def test_ctrl_c_exits_130_without_a_traceback(monkeypatch, capsys):
+    def interrupted(n, k):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bbp.cli, "stirling2", interrupted)
+    monkeypatch.setattr(sys, "argv", ["bbp", "stirling", "-n", "4", "-k", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        bbp.cli.main()
+    assert exit_info.value.code == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+    # run() itself lets Ctrl-C through to its in-process callers.
+    with pytest.raises(KeyboardInterrupt):
+        invoke(["stirling", "-n", "4", "-k", "2"])
 
 
 def test_cached_parser_keeps_no_state_between_runs():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,53 @@ def test_bounded_composition_count():
     assert bounded_composition_count(4, 0, 1) == 1
     # Unbounded cap: C(n + m - 1, m - 1).
     assert bounded_composition_count(5, 7, 7) == math.comb(11, 4)
+
+
+def test_bounded_composition_count_matches_enumeration():
+    # Every tuple of day counts in 0..r, tallied by its sum.
+    for m in range(1, 7):
+        for r in range(1, 5):
+            sums = [0] * (m * r + 15)
+            for days in product(range(r + 1), repeat=m):
+                sums[sum(days)] += 1
+            for n in range(15):
+                assert bounded_composition_count(m, n, r) == sums[n], (m, n, r)
+                if n <= m * r:  # symmetric under n -> m r - n
+                    assert bounded_composition_count(m, m * r - n, r) == sums[n]
+
+
+def test_bruteforce_refuses_large_r_from_the_count_alone():
+    # About 1.5e322 compositions, counted in three terms: a dynamic program
+    # over days, people and day counts takes about a minute here.
+    with pytest.raises(InstanceTooLargeError):
+        prob_bruteforce(ProblemInstance(200, 3000, 1000))
+
+
+def test_bruteforce_handles_a_thousand_occupied_days():
+    # One composition, all days at the cap: no recursion 1000 days deep.
+    inst = ProblemInstance(1000, 1000, 1)
+    assert prob_bruteforce(inst) == prob_exact(inst, AlgorithmId.COLUMN)
+
+
+def test_bruteforce_walks_occupied_days_only(monkeypatch):
+    # (600, 2, 1) has 179,700 compositions with two occupied days each:
+    # at most n binomials per composition plus the guard's, where walking
+    # every day, empty ones too, takes 36 million.
+    m, n, r = 600, 2, 1
+    compositions = bounded_composition_count(m, n, r)
+    guard_terms = min(n, m * r - n) // (r + 1) + 1
+    limit = n * compositions + 2 * guard_terms
+    comb, calls = math.comb, 0
+
+    def counted_comb(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise AssertionError("more than %d binomials" % limit)
+        return comb(a, b)
+
+    monkeypatch.setattr(bbp.solvers.math, "comb", counted_comb)
+    assert prob_bruteforce(ProblemInstance(m, n, r)) == Fraction(599, 600)
 
 
 # ---------------------------------------------------------------------------

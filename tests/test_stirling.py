@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbp.solvers import CountingContext, DirectContext, StirlingContext
 from bbp.stirling import RestrictedStirling, restricted_stirling2, stirling2
@@ -24,6 +25,19 @@ def test_classic_against_partition_enumeration():
     for n in range(0, 8):
         for k in range(0, n + 2):
             assert stirling2(n, k) == partition_count(n, k)
+
+
+def test_classic_against_partition_enumeration_to_n9():
+    for n in (8, 9):
+        for k in range(-1, n + 2):
+            assert stirling2(n, k) == partition_count(n, k), (n, k)
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 40), data=st.data())
+def test_classic_sum_equals_restricted_fill_at_r_n(n, data):
+    k = data.draw(st.integers(0, n), label="k")
+    assert stirling2(n, k) == restricted_stirling2(n, k, n)
 
 
 def test_restricted_known_values():
