@@ -48,6 +48,11 @@ from .stirling import NegativeCountError, RestrictedStirling
 
 # Bounded compositions the brute-force oracle may enumerate: 1 s at most, small n.
 DEFAULT_ORACLE_LIMIT = 200_000
+# Its bounds on n (one math.comb(n, n/2) takes 0.5 s at 200,000) and on
+# compositions * m * n**2 (up to m steps per composition, each on integers
+# about n bits wide), which keep admitted instances near 1 s.
+ORACLE_MAX_N = 200_000
+ORACLE_WORK_LIMIT = 10**12
 # The column fill moves to the EGF step once N_n is wider than EGF_SWITCH_BITS,
 # for r <= EGF_MAX_R: past that, its 720 coefficient rows of r integers
 # outgrow the column window (m = 10, n = 2000, r = 1000: 295 MiB against
@@ -156,7 +161,8 @@ def bounded_composition_count(m: int, n: int, r: int) -> int:
 
 def count_bruteforce(inst: ProblemInstance) -> int:
     """Valid configurations counted by explicit composition enumeration,
-    refused past DEFAULT_ORACLE_LIMIT bounded compositions.
+    refused past DEFAULT_ORACLE_LIMIT bounded compositions, past n =
+    ORACLE_MAX_N, or past ORACLE_WORK_LIMIT for compositions * m * n**2.
 
     A branch puts k >= 1 people on the next occupied day b only if the days
     after b hold the rest: every branch ends in a composition, and empty days
@@ -164,10 +170,17 @@ def count_bruteforce(inst: ProblemInstance) -> int:
     the walk, since its depth and its breadth can both reach n.
     """
     m, n, r = inst.m, inst.n, inst.r
-    if bounded_composition_count(m, n, r) > DEFAULT_ORACLE_LIMIT:
+    compositions = bounded_composition_count(m, n, r)
+    if compositions > DEFAULT_ORACLE_LIMIT:
         raise InstanceTooLargeError(
             "brute force refused: more than %d bounded compositions for "
             "m=%d n=%d r=%d" % (DEFAULT_ORACLE_LIMIT, m, n, r)
+        )
+    if n > ORACLE_MAX_N or compositions * m * n * n > ORACLE_WORK_LIMIT:
+        raise InstanceTooLargeError(
+            "brute force refused: m=%d n=%d r=%d (%d compositions) is past "
+            "n <= %d or compositions*m*n^2 <= %d"
+            % (m, n, r, compositions, ORACLE_MAX_N, ORACLE_WORK_LIMIT)
         )
 
     def branches(first: int, left: int, multinomial: int):

@@ -1,11 +1,13 @@
 """Batch harness: n_max grids and cross-algorithm validation.
 
 `TableSpec` owns a grid's settings: it defaults to the paper's grid and
-checks gamma as `find_nmax` does.  Grid cells are independent jobs,
-dispatched to a pool largest first; results are assembled in spec order so
-the rendered output is byte-identical regardless of worker count.  The
-process pool is imported on first use, inside `generate_table`, so that
-`import bbp.cli` (the fixed cost of every `bbp` call) does not load it.
+checks gamma as `find_nmax` does.  Grid cells are independent jobs.  With
+more than one worker, each worker process takes the next cell, largest
+first, from one shared counter and sends all its answers back in one
+message; results are assembled in spec order so the rendered output is
+byte-identical regardless of worker count.  `multiprocessing` is imported on
+first use, inside `generate_table`, so that `import bbp.cli` (the fixed cost
+of every `bbp` call) does not load it.
 """
 
 from __future__ import annotations
@@ -77,6 +79,70 @@ def _cell_job(args):
     return find_nmax(req, certify=False).n_max  # the cell keeps n_max alone
 
 
+def _cell_worker(next_cell, cells, conn) -> None:
+    """Take cells[k] for k from the shared counter next_cell until none is
+    left, then send every (index, n_max) pair, or the first exception raised,
+    in one message."""
+    reply = []
+    try:
+        while True:
+            with next_cell.get_lock():
+                k = next_cell.value
+                next_cell.value = k + 1
+            if k >= len(cells):
+                break
+            i, job = cells[k]
+            reply.append((i, _cell_job(job)))
+    except BaseException as exc:  # re-raised by the parent
+        with next_cell.get_lock():
+            next_cell.value = len(cells)  # the other workers stop early
+        reply = exc
+    conn.send(reply)
+    conn.close()
+
+
+def _run_workers(cells: list, workers: int) -> list[tuple[int, int]]:
+    """(index, n_max) for every (index, job) cell, from `workers` processes.
+
+    A worker's exception is re-raised once every worker is joined; one that
+    dies before reporting raises RuntimeError.  No worker outlives the call.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    next_cell = ctx.Value("i", 0)
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            receive, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_cell_worker, args=(next_cell, cells, send))
+            proc.start()
+            send.close()  # so that recv sees EOF if the worker dies
+            procs.append(proc)
+            conns.append(receive)
+        replies = []
+        for proc, conn in zip(procs, conns):
+            try:
+                replies.append(conn.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError("a table worker exited with code %s before "
+                                   "reporting" % proc.exitcode) from None
+        for proc in procs:
+            proc.join()  # workers that reported exit on their own
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+    for reply in replies:
+        if isinstance(reply, BaseException):
+            raise reply
+    return [pair for reply in replies for pair in reply]
+
+
 def generate_table(spec: TableSpec) -> TableResult:
     jobs = []
     for r in spec.r_values:
@@ -85,18 +151,15 @@ def generate_table(spec: TableSpec) -> TableResult:
             jobs.append(
                 (m, r, (spec.gamma.numerator, spec.gamma.denominator), use_float)
             )
-    # A pool forks all its workers up front, so start no more than there
-    # are cells or cores to keep busy.
+    # Start no more workers than there are cells or cores to keep busy.
     workers = min(spec.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # Largest cells first, so the longest one does not start last.
         order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] * jobs[i][1],
                        reverse=True)
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(order, pool.map(_cell_job, [jobs[i] for i in order])))
-        values = [done[i] for i in range(len(jobs))]
+        values = [0] * len(jobs)
+        for i, n_max in _run_workers([(i, jobs[i]) for i in order], workers):
+            values[i] = n_max
     else:
         values = [_cell_job(job) for job in jobs]
     ncols = len(spec.m_values)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,22 @@ def test_oracle_limit_refuses_past_200k_compositions():
                              "--algo", "brute"])
     assert (code, out) == (2, "")
     assert err.startswith("refused:") and "200000" in err
+
+
+@pytest.mark.parametrize("m, n, r", [
+    # 201 compositions, within the count limit, but n is past 200,000: the
+    # one math.comb(2000000, 999900) of its walk took 44 s.
+    (2, 2000000, 1000100),
+    # 36 compositions at n = 200,000: compositions*m*n^2 is past 10^12.
+    (3, 200000, 66669),
+])
+def test_oracle_refuses_wide_multinomials_at_once(m, n, r):
+    start = time.process_time()
+    code, out, err = invoke(["prob", "-m", str(m), "-n", str(n), "-r", str(r),
+                             "--algo", "brute"])
+    assert time.process_time() - start < 0.2
+    assert (code, out) == (2, "")
+    assert err.startswith("refused:") and "compositions*m*n^2" in err
 
 
 def test_broken_fill_exit_2(monkeypatch):

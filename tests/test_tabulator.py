@@ -1,12 +1,18 @@
-import concurrent.futures
+import contextlib
+import io
 import json
+import multiprocessing
 import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
 
 import bbp.solvers
 import bbp.tabulator
+from bbp import cli
+from bbp.stirling import NegativeCountError
 from bbp.tabulator import (
     TableSpec,
     cross_check,
@@ -109,26 +115,28 @@ def test_deterministic_across_parallelism(monkeypatch):
     assert serial == parallel
 
 
-class _RecordingPool:
-    """A stand-in ProcessPoolExecutor that records max_workers and maps serially."""
+class _RecordingContext:
+    """A multiprocessing context that records how many workers each parallel
+    generate_table starts (one shared counter each)."""
 
-    started: list = []
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.started = []
 
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
 
-    def __enter__(self):
-        return self
+    def Value(self, *args, **kwargs):
+        self.started.append(0)
+        return self._ctx.Value(*args, **kwargs)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    def Process(self, *args, **kwargs):
+        self.started[-1] += 1
+        return self._ctx.Process(*args, **kwargs)
 
 
 @pytest.mark.parametrize("jobs, cpus, m_values, r_values, want", [
-    (5000, 8, [3], [1], []),  # one cell: no pool at all
+    (5000, 8, [3], [1], []),  # one cell: no worker at all
     (5000, 8, [3, 10], [1, 2], [4]),  # capped by the four cells
     (3, 2, [3, 10], [1, 2], [2]),  # capped by the cores
     (5000, 1, [3, 10], [1, 2], []),  # one core: serial
@@ -136,14 +144,105 @@ class _RecordingPool:
 ])
 def test_jobs_capped_by_cells_and_cores(monkeypatch, jobs, cpus, m_values,
                                         r_values, want):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    recording = _RecordingContext(multiprocessing.get_context())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: recording)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "started", [])
     grid = small_spec(m_values=m_values, r_values=r_values)
     serial = render_csv(generate_table(grid))
     grid.jobs = jobs
     assert render_csv(generate_table(grid)) == serial
-    assert _RecordingPool.started == want
+    assert recording.started == want
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_match_serial(monkeypatch):
+    # Workers started by "spawn" (the macOS default) get their entry point and
+    # arguments by pickling, not by inheriting the parent's memory.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = render_csv(generate_table(small_spec()))
+    assert render_csv(generate_table(small_spec(jobs=2))) == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Forked workers, which see the test's monkeypatches, on two cores."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _plant(monkeypatch, fault):
+    """Make the cell m=10, r=2 call fault() instead of searching."""
+    real = bbp.tabulator.find_nmax
+
+    def find_nmax(req, certify=True):
+        if (req.m, req.r) == (10, 2):
+            fault()
+        return real(req, certify=certify)
+
+    monkeypatch.setattr(bbp.tabulator, "find_nmax", find_nmax)
+
+
+@contextlib.contextmanager
+def _deadline(seconds, exc_type):
+    """Raise exc_type in this process once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise exc_type("deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_shared_counter_hands_out_each_cell_once(forked):
+    # More workers than cores race for the counter: a lost update would skip
+    # a cell or compute one twice.
+    cells = [(i, (m, r, (1, 2), False)) for i, (m, r) in enumerate(
+        (m, r) for m in range(1, 16) for r in (1, 2, 3))]
+    with _deadline(60, TimeoutError):
+        pairs = bbp.tabulator._run_workers(cells, 6)
+    assert sorted(i for i, _ in pairs) == list(range(len(cells)))
+    assert dict(pairs) == {i: bbp.tabulator._cell_job(job) for i, job in cells}
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_keeps_its_exit_code(forked, monkeypatch):
+    def refuse():
+        raise NegativeCountError("planted")
+
+    _plant(monkeypatch, refuse)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["table", "--days", "3,10", "--max-per-day", "1,2", "--jobs", "2"]
+    assert cli.run(argv, out=out, err=err) == 2
+    assert err.getvalue() == "refused: planted\n" and out.getvalue() == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises(forked, monkeypatch):
+    _plant(monkeypatch, lambda: os._exit(1))
+    with _deadline(20, TimeoutError):
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            generate_table(small_spec(jobs=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_stops_every_worker(forked, monkeypatch):
+    _plant(monkeypatch, lambda: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with _deadline(1, KeyboardInterrupt):
+            generate_table(small_spec(jobs=2))
+    assert time.monotonic() - start < 20
+    assert multiprocessing.active_children() == []
 
 
 def test_cross_check_base_cases():
