@@ -157,7 +157,8 @@ def _emit_count(args, out) -> None:
 
 def _emit_nmax(args, out) -> None:
     gamma = parse_rational(args.gamma)
-    result = find_nmax(SearchRequest(m=args.days, r=args.max_per_day, gamma=gamma))
+    result = find_nmax(SearchRequest(m=args.days, r=args.max_per_day, gamma=gamma),
+                       certify=args.format == "json")
     if args.format == "json":
         _json_line(out, m=args.days, r=args.max_per_day, gamma=_frac(gamma),
                    n_max=result.n_max, p_at_nmax=_frac(result.p_at_nmax),

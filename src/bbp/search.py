@@ -7,16 +7,16 @@ ends exactly at n_max + 1, and the two cells it ends on are the certificate.
 Thresholds are exact rationals, and every comparison that decides the
 answer is exact or provably rounds the right way.  The exact search is one
 column fill, O(r) per n whatever m is, that tests the threshold as it goes:
-its window holds the counts scaled by gamma's denominator, so each n costs r
-big multiply-adds and one compare against gamma's numerator times m**n.
+each n costs r big multiply-adds and one compare of the count times gamma's
+denominator against gamma's numerator times m**n.
 Past 3000 bits (r <= 100) the fill steps integer EGF coefficients instead,
 with one-digit multipliers and one exact division by n, and tests P in float
 log2, with the exact compare inside a proven bound on its rounding error.  A
-table cell asks for n_max alone (certify=False), which skips building the
-two reduced certificate Fractions.  Mode.FLOAT, kept for `table
---float-above`, first walks a floating-point direct context to a starting
-point and then the exact direct context to the true crossing: a slower
-cross-check whose answer and certificate equal the exact ones.
+table cell and plain `nmax` output ask for n_max alone (certify=False), which
+skips building the two reduced certificate Fractions.  Mode.FLOAT, kept for
+`table --float-above`, first walks a floating-point direct context to a
+starting point and then the exact direct context to the true crossing: a
+slower cross-check whose answer and certificate equal the exact ones.
 """
 
 from __future__ import annotations

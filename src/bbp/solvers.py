@@ -599,12 +599,11 @@ class ColumnContext(_Context):
     starts as r zeros (N_n = 0 for n < 0) below N_0 = 1, so the same step
     gives N_n = m**n for n <= r.
 
-    The window holds d N_n, d the denominator of the latest threshold a fill
-    ran under (1 before any), so the test P(m, n) < num/d is the one compare
-    d N_n < num m**n, its bound advanced by one multiply by m a step; a new
-    denominator rescales the window once.  Only the top-m column is held,
-    so sub-m queries are refused, and only its trailing r+1 counts: the
-    recurrence looks back r, and a search reads n_max after filling n_max+1.
+    The threshold test P(m, n) < num/d is the one compare d N_n < num m**n,
+    its bound advanced by one multiply by m a step.  Only the top-m column
+    is held, so sub-m queries are refused, and only its trailing r+1 counts:
+    the recurrence looks back r, and a search reads n_max after filling
+    n_max+1.
 
     Once N_n passes 2**EGF_SWITCH_BITS, with r <= EGF_MAX_R, the fill
     switches for good to the integer EGF step of `_EgfScale`.  The window is
@@ -622,9 +621,8 @@ class ColumnContext(_Context):
 
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
-        self._counts = Layers(1, r)  # d N_n (d = self._scale), or V_n once _egf is set
+        self._counts = Layers(1, r)  # N_n, or V_n once _egf is set
         self._counts.items.extendleft([0] * r)  # N_n = 0 for n < 0
-        self._scale = 1
         # _coeffs[i] multiplies window item i for the next n: 0 for the
         # oldest item, then a_r .. a_1, then a_0 = -1 for the Pascal step.
         self._coeffs = [0] * r + [m, -1]
@@ -642,15 +640,10 @@ class ColumnContext(_Context):
         the window now holds V."""
         m, r, layers = self.m, self.r, self._counts
         window, coeffs, nn = layers.items, self._coeffs, layers.n
-        bound = 0  # with no threshold, val < 0 is the only stop
+        den, bound = 1, 0  # with no threshold, val < 0 is the only stop
         if below is not None and nn < n:
-            scale, old = below.denominator, self._scale
-            if scale != old:
-                for i, w in enumerate(window):
-                    window[i] = w // old * scale
-                self._scale = scale
-            bound = below.numerator * m ** nn
-        switch = self._scale << EGF_SWITCH_BITS if r <= EGF_MAX_R else math.inf
+            den, bound = below.denominator, below.numerator * m ** nn
+        switch = 1 << EGF_SWITCH_BITS if r <= EGF_MAX_R else math.inf
         pascal = range(1, r + 1)
         while nn < n:
             nn += 1
@@ -659,7 +652,7 @@ class ColumnContext(_Context):
             for i in pascal:
                 coeffs[i] += coeffs[i + 1]
             bound *= m
-            if val < bound:
+            if den * val < bound:
                 if val < 0:
                     layers.n = nn
                     raise NegativeCountError(
@@ -674,7 +667,7 @@ class ColumnContext(_Context):
         return False
 
     def _switch(self) -> None:
-        """Convert the window from d N_k to V_k = N_k Q_k / k!."""
+        """Convert the window from N_k to V_k = N_k Q_k / k!."""
         m, r, window, nn = self.m, self.r, self._counts.items, self._counts.n
         egf = _EgfScale(m, r)
         low = max(nn - r, 0)
@@ -684,7 +677,7 @@ class ColumnContext(_Context):
                 fact *= k
                 q *= egf.g[k % egf.period]  # Q_k = Q_{k-1} g(k)
             if window[i]:
-                v, rem = divmod(window[i] // self._scale * q, fact)
+                v, rem = divmod(window[i] * q, fact)
                 if rem:
                     raise NegativeCountError(
                         "column count N_%d does not scale to an integer V at "
@@ -735,7 +728,7 @@ class ColumnContext(_Context):
         self._mm(mm)
         self.extend(n)
         if self._egf is None:
-            return self._counts[n] // self._scale
+            return self._counts[n]
         count, rem = divmod(math.factorial(n) * self._counts[n], self._egf.q(n))
         if rem:
             raise NegativeCountError(

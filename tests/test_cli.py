@@ -237,6 +237,16 @@ def test_usage_errors_exit_1():
         assert err.strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prob", "-m", "5", "-n", "3", "-r", "1", "--format", "dec", "--digits", "-1"],
+     "digits must be >= 0"),
+    (["table", "--days", "5..3"], "empty range '5..3'"),
+    (["table", "--days", ","], "empty list ','"),
+], ids=["negative-digits", "empty-range", "empty-list"])
+def test_value_refusals_exit_1(argv, message):
+    assert invoke(argv) == (1, "", "error: %s\n" % message)
+
+
 def test_oracle_guard_exit_2():
     code, out, err = invoke(["prob", "-m", "365", "-n", "23", "-r", "1",
                              "--algo", "brute"])

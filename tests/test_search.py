@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bbp.search import SearchRequest, SearchResult, find_nmax
 from bbp.solvers import (
@@ -76,9 +76,14 @@ def test_gamma_validation():
 
 
 def test_float_mode_matches_exact():
-    for m, r in [(10, 2), (50, 1), (100, 3), (25, 5)]:
-        exact = find_nmax(SearchRequest(m=m, r=r))
-        fast = find_nmax(SearchRequest(m=m, r=r, mode=Mode.FLOAT))
+    # 1 - 10^-25 rounds to 1.0 as a float, so at (10^4, 5) the float walk
+    # starts at 17 and the exact walk steps down 12 layers, past the r+1 it
+    # keeps, to n_max = 5: only the direct context's top-row history answers.
+    half, near_one = Fraction(1, 2), Fraction(10 ** 25 - 1, 10 ** 25)
+    for m, r, gamma in [(10, 2, half), (50, 1, half), (100, 3, half),
+                        (25, 5, half), (10000, 5, near_one)]:
+        exact = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
+        fast = find_nmax(SearchRequest(m=m, r=r, gamma=gamma, mode=Mode.FLOAT))
         assert fast.n_max == exact.n_max
         # The float path must still deliver an exact certificate.
         assert fast.p_at_nmax == exact.p_at_nmax
@@ -144,9 +149,7 @@ def test_column_stopped_by_below_resumes_like_fresh(m, r, gamma, extra):
 @given(m=st.integers(1, 40), r=st.integers(1, 10), first=open_unit_fractions(),
        second=open_unit_fractions(), extra=st.integers(0, 30))
 def test_column_resumes_across_thresholds(m, r, first, second, extra):
-    # The window is rescaled when the second threshold brings a new
-    # denominator, and left as it is when the third extend brings none.
-    assume(first.denominator != second.denominator)
+    # One window serves a second threshold and then a plain extend.
     ctx, fresh = ColumnContext(m, r), ColumnContext(m, r)
     n1 = ctx.extend(m * r + 1, below=first)
     n2 = ctx.extend(m * r + 1 + extra, below=second)
@@ -207,3 +210,12 @@ def test_nmax_past_the_egf_switch_at_attained_gamma(m, r):
     for gamma, n in [(probs[k], k), (probs[k] + eps, k - 1), (probs[k] - eps, k)]:
         result = find_nmax(SearchRequest(m=m, r=r, gamma=gamma))
         assert result == SearchResult(n, probs[n], probs[n + 1]), gamma
+
+
+def test_nmax_stops_past_the_egf_switch_on_a_zero_probability():
+    # P(30, n, 100) stays above 10^-41 up to n = m*r, so the EGF walk stops
+    # on P(m*r + 1) = 0, which has no log2.  Filling m*r gives every day r.
+    m, r = 30, 100
+    result = find_nmax(SearchRequest(m=m, r=r, gamma=Fraction(1, 10 ** 41)))
+    full = Fraction(math.factorial(m * r), math.factorial(r) ** m * m ** (m * r))
+    assert result == SearchResult(m * r, full, Fraction(0))
