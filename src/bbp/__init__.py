@@ -5,14 +5,12 @@ that no day collects more than r birthdays, count the valid configurations,
 and find the largest n keeping that probability at or above a threshold.
 """
 
-from .exact_arith import binomial, ratio
 from .search import SearchRequest, SearchResult, find_nmax
 from .solvers import (
     AlgorithmId,
     InstanceTooLargeError,
     Mode,
     ProblemInstance,
-    coeff_next,
     count_exact,
     count_valid_stirling,
     prob_bruteforce,
@@ -38,8 +36,6 @@ __all__ = [
     "TableResult",
     "TableSpec",
     "XCheckReport",
-    "binomial",
-    "coeff_next",
     "count_exact",
     "count_valid_stirling",
     "cross_check",
@@ -47,7 +43,6 @@ __all__ = [
     "generate_table",
     "prob_bruteforce",
     "prob_exact",
-    "ratio",
     "render",
     "restricted_stirling2",
     "stirling2",

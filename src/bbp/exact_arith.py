@@ -1,9 +1,9 @@
-"""Exact integer and rational building blocks shared by every solver.
+"""The layer store the fills share, and exact input and output helpers.
 
-Counts are plain Python ints (arbitrary precision); probabilities are
-``fractions.Fraction`` values, which are reduced eagerly on construction.
-``Layers`` is the one rolling-window store the layered fills keep their
-layers in.
+Counts are plain ints, probabilities `fractions.Fraction`s and binomials
+`math.comb`.  `Layers` is the one rolling-window store the layered fills
+keep their layers in; `parse_rational`, `decimal_string` and
+`big_int_strings` read and print exact values for the command line.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ class Layers:
         from prev, layer nn-1, and back, layer nn-1-depth, with
         c = C(nn-1, depth); back is None exactly when c == 0."""
         items, r = self.items, self.depth
-        c = binomial(self.n, r)  # carried from layer to layer
+        c = math.comb(self.n, r)  # carried from layer to layer
         while self.n < n:
             nn = self.n + 1
             items.append(step(nn, items[-1], items[-1 - r] if c else None, c))
             self.n = nn
-            c = c * nn // (nn - r) if nn > r else binomial(nn, r)
+            c = c * nn // (nn - r) if nn > r else math.comb(nn, r)
 
     def __getitem__(self, n: int):
         k = self.n - n
@@ -70,22 +70,6 @@ class Layers:
             raise ValueError("layer %d was dropped (window mode keeps the last %d)"
                              % (n, len(self.items)))
         return self.items[-1 - k]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), exactly.  Returns 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0, got n=%d" % n)
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def ratio(num: int, den: int) -> Fraction:
-    """The reduced rational num/den.  den must be positive."""
-    if den <= 0:
-        raise ValueError("ratio requires a positive denominator, got %d" % den)
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -99,9 +83,12 @@ def parse_rational(text: str) -> Fraction:
     try:
         if "/" in s:
             num_s, den_s = s.split("/")
-            return ratio(int(num_s), int(den_s))
+            den = int(den_s)
+            if den <= 0:
+                raise ValueError("the denominator must be positive")
+            return Fraction(int(num_s), den)
         return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError("malformed rational %r" % text) from exc
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .solvers import ColumnContext, DirectContext, FloatDirectContext, Mode, Record
+from .solvers import (ColumnContext, DirectContext, FloatDirectContext, Mode,
+                      ProblemInstance, Record)
 
 
 class SearchRequest(Record):
@@ -71,6 +72,7 @@ def find_nmax(req: SearchRequest, certify: bool = True) -> SearchResult:
     """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r),
     with the two probabilities that certify it unless certify is False."""
     check_gamma(req.gamma)
+    ProblemInstance(req.m, 0, req.r)  # refuses m < 1 or r < 1
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
 

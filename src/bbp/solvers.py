@@ -43,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul, sub
 
-from .exact_arith import Layers, binomial
+from .exact_arith import Layers
 from .stirling import NegativeCountError, RestrictedStirling
 
 # Bounded compositions the brute-force oracle may enumerate: 1 s at most, small n.
@@ -234,7 +234,7 @@ class DayContext(_Context):
         for nn in range(len(rows[0]), n + 1):
             low = max(0, nn - self.r)
             # C(nn, nn - j) multiplies N(mm-1, j) for j = low..nn.
-            coeffs = [binomial(nn, k) for k in range(nn - low, -1, -1)]
+            coeffs = [math.comb(nn, k) for k in range(nn - low, -1, -1)]
             rows[0].append(0)
             for mm in range(1, self.m + 1):
                 rows[mm].append(sum(map(mul, coeffs, rows[mm - 1][low:])))
@@ -349,18 +349,6 @@ def count_valid_stirling(inst: ProblemInstance) -> int:
 # Direct probability recurrence
 
 
-def coeff_next(prev_coeff, m: int, n: int, r: int):
-    """Step the correction coefficient from index n-1 to index n.
-
-    Valid only for n >= r + 2; the seed at n = r + 1 is
-    C(r, r) * (m-1)**0 / m**r == 1 / m**r.
-    Works for exact (Fraction) and floating-point coefficients alike.
-    """
-    if n < r + 2:
-        raise ValueError("coeff_next requires n >= r + 2 (seed covers n = r + 1)")
-    return prev_coeff * ((n - 1) * (m - 1)) / ((n - 1 - r) * m)
-
-
 class DirectContext(_Context):
     """Exact direct recurrence, carried on valid-configuration counts.
 
@@ -472,19 +460,21 @@ class FloatDirectContext(_Context):
     def __init__(self, m: int, r: int):
         super().__init__(m, r)
         self._layers = Layers([1.0] * (m + 1), r)
-        self._coeffs = [0.0] * (m + 1)  # c(mm, nn) for the next step
+        self._coeffs = [0.0] * (m + 1)  # c(mm, nn) of the newest layer
 
     def extend(self, n: int) -> None:
         self._layers.fill(n, self._step)
 
     def _step(self, nn: int, prev: list[float], back, c: int) -> list[float]:
         m, r, coeffs = self.m, self.r, self._coeffs
+        # c(mm, nn) = C(nn-1, r) (mm-1)**(nn-1-r) / mm**(nn-1): seeded at
+        # nn = r+1, then stepped by c(mm, nn) / c(mm, nn-1).
         if nn == r + 1:
             for mm in range(1, m + 1):
                 coeffs[mm] = 1.0 / float(mm) ** r
         elif nn >= r + 2:
             for mm in range(1, m + 1):
-                coeffs[mm] = coeff_next(coeffs[mm], mm, nn, r)
+                coeffs[mm] = coeffs[mm] * ((nn - 1) * (mm - 1)) / ((nn - 1 - r) * mm)
         layer = [0.0] * (m + 1)
         for mm in range(1, m + 1):
             if nn > mm * r:

@@ -1,11 +1,13 @@
 """Batch harness: n_max grids and cross-algorithm validation.
 
 `TableSpec` owns a grid's settings: it defaults to the paper's grid and
-checks gamma as `find_nmax` does.  Grid cells are independent jobs.  With
-more than one worker, each worker process takes the next cell, largest
-first, from one shared counter and sends all its answers back in one
-message; results are assembled in spec order so the rendered output is
-byte-identical regardless of worker count.  `multiprocessing` is imported on
+checks m, r and gamma as `find_nmax` does, before any cell runs.  A cell
+is an independent job, one `SearchRequest` (in float mode for m above
+float_above) whose n_max alone is kept.  With more than one worker, each
+worker process takes the next cell, largest m*r first, from one shared
+counter and sends all its answers back in one message; results are
+assembled in spec order so the rendered output is byte-identical
+regardless of worker count.  `multiprocessing` is imported on
 first use, inside `generate_table`, so that `import bbp.cli` (the fixed cost
 of every `bbp` call) does not load it.
 """
@@ -53,6 +55,8 @@ class TableSpec(Record):
         self.jobs = jobs
         if not self.m_values or not self.r_values:
             raise ValueError("m_values and r_values must be nonempty")
+        # Refuse m < 1 or r < 1 as prob and count do, before any worker starts.
+        ProblemInstance(min(self.m_values), 0, min(self.r_values))
         if output_format not in RENDERERS:
             raise ValueError("unknown output format %r" % output_format)
         check_gamma(self.gamma)
@@ -63,19 +67,8 @@ class TableResult(Record):
         self.spec = spec
         self.cells = cells  # rows by r ascending, columns by m ascending
 
-    def cell(self, r: int, m: int) -> int:
-        return self.cells[self.spec.r_values.index(r)][self.spec.m_values.index(m)]
 
-
-def _cell_job(args):
-    m, r, gamma_nd, use_float = args
-    gamma = Fraction(*gamma_nd)
-    req = SearchRequest(
-        m=m,
-        r=r,
-        gamma=gamma,
-        mode=Mode.FLOAT if use_float else Mode.EXACT,
-    )
+def _cell_job(req: SearchRequest) -> int:
     return find_nmax(req, certify=False).n_max  # the cell keeps n_max alone
 
 
@@ -91,8 +84,8 @@ def _cell_worker(next_cell, cells, conn) -> None:
                 next_cell.value = k + 1
             if k >= len(cells):
                 break
-            i, job = cells[k]
-            reply.append((i, _cell_job(job)))
+            i, req = cells[k]
+            reply.append((i, _cell_job(req)))
     except BaseException as exc:  # re-raised by the parent
         with next_cell.get_lock():
             next_cell.value = len(cells)  # the other workers stop early
@@ -102,7 +95,7 @@ def _cell_worker(next_cell, cells, conn) -> None:
 
 
 def _run_workers(cells: list, workers: int) -> list[tuple[int, int]]:
-    """(index, n_max) for every (index, job) cell, from `workers` processes.
+    """(index, n_max) for every (index, request) cell, from `workers` processes.
 
     A worker's exception is re-raised once every worker is joined; one that
     dies before reporting raises RuntimeError.  No worker outlives the call.
@@ -144,24 +137,21 @@ def _run_workers(cells: list, workers: int) -> list[tuple[int, int]]:
 
 
 def generate_table(spec: TableSpec) -> TableResult:
-    jobs = []
-    for r in spec.r_values:
-        for m in spec.m_values:
-            use_float = spec.float_above is not None and m > spec.float_above
-            jobs.append(
-                (m, r, (spec.gamma.numerator, spec.gamma.denominator), use_float)
-            )
+    above = spec.float_above
+    reqs = [SearchRequest(m, r, spec.gamma, Mode.FLOAT if above is not None
+                          and m > above else Mode.EXACT)
+            for r in spec.r_values for m in spec.m_values]
     # Start no more workers than there are cells or cores to keep busy.
-    workers = min(spec.jobs, len(jobs), os.cpu_count() or 1)
+    workers = min(spec.jobs, len(reqs), os.cpu_count() or 1)
     if workers > 1:
         # Largest cells first, so the longest one does not start last.
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i][0] * jobs[i][1],
+        order = sorted(range(len(reqs)), key=lambda i: reqs[i].m * reqs[i].r,
                        reverse=True)
-        values = [0] * len(jobs)
-        for i, n_max in _run_workers([(i, jobs[i]) for i in order], workers):
+        values = [0] * len(reqs)
+        for i, n_max in _run_workers([(i, reqs[i]) for i in order], workers):
             values[i] = n_max
     else:
-        values = [_cell_job(job) for job in jobs]
+        values = [_cell_job(req) for req in reqs]
     ncols = len(spec.m_values)
     cells = [values[i * ncols : (i + 1) * ncols] for i in range(len(spec.r_values))]
     return TableResult(spec=spec, cells=cells)
@@ -222,10 +212,6 @@ class XCheckReport(Record):
         self.instances_checked = 0
         self.oracle_checked = 0
         self.divergences: list[Divergence] = []
-
-    @property
-    def passed(self) -> bool:
-        return not self.divergences
 
 
 def cross_check(max_m: int, max_n: int, max_r: int) -> XCheckReport:

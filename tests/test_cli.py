@@ -242,7 +242,15 @@ def test_usage_errors_exit_1():
      "digits must be >= 0"),
     (["table", "--days", "5..3"], "empty range '5..3'"),
     (["table", "--days", ","], "empty list ','"),
-], ids=["negative-digits", "empty-range", "empty-list"])
+    # nmax and table refuse m < 1 and r < 1 in the words of prob and count.
+    (["nmax", "-m", "0", "-r", "1"], "m must be >= 1"),
+    (["nmax", "-m", "3", "-r", "0"], "r must be >= 1"),
+    (["table", "--days", "0,10", "--max-per-day", "1,2", "--jobs", "2"],
+     "m must be >= 1"),
+    (["table", "--days", "10", "--max-per-day", "2,0", "--float-above", "1"],
+     "r must be >= 1"),
+], ids=["negative-digits", "empty-range", "empty-list", "nmax-m", "nmax-r",
+        "table-m-jobs", "table-r-float"])
 def test_value_refusals_exit_1(argv, message):
     assert invoke(argv) == (1, "", "error: %s\n" % message)
 

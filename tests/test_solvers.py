@@ -17,7 +17,6 @@ from bbp.solvers import (
     ProblemInstance,
     StirlingContext,
     bounded_composition_count,
-    coeff_next,
     count_bruteforce,
     count_exact,
     count_valid_stirling,
@@ -592,29 +591,22 @@ def test_column_keeps_a_window():
 # Coefficient precomputation
 
 
-def test_coeff_seed_and_steps():
-    # Seed: m=3, r=1, n=2 -> C(1,1) * 2**0 / 3**1 = 1/3.
-    assert coeff_direct(3, 2, 1) == Fraction(1, 3)
-    # Step: m=3, r=1, n=3 -> (2/1)*(2/3)*(1/3) = 4/9 = C(2,1)*2/3**2.
-    assert coeff_next(Fraction(1, 3), 3, 3, 1) == Fraction(4, 9) == coeff_direct(3, 3, 1)
-    # Step: m=2, r=2, n=4 -> (3/1)*(1/2)*(1/4) = 3/8 = C(3,2)*1/2**3.
-    assert coeff_direct(2, 3, 2) == Fraction(1, 4)
-    assert coeff_next(Fraction(1, 4), 2, 4, 2) == Fraction(3, 8) == coeff_direct(2, 4, 2)
-
-
-def test_coeff_next_rejects_early_indices():
-    with pytest.raises(ValueError):
-        coeff_next(Fraction(1, 4), 2, 3, 2)  # n == r + 1 is the seed's job
-
-
 def test_coeff_chain_matches_direct_evaluation():
-    for m in range(1, 21):
-        for r in range(1, 6):
-            c = Fraction(1, m ** r)  # the seed at n = r + 1
-            assert c == coeff_direct(m, r + 1, r), (m, r)
-            for n in range(r + 2, 61):
-                c = coeff_next(c, m, n, r)
-                assert c == coeff_direct(m, n, r), (m, n, r)
+    # c(m, n) = C(n-1, r) (m-1)**(n-1-r) / m**(n-1), by hand: at r = 1,
+    # c(3, 2) = 1/3 (the seed 1/m**r) and c(3, 3) = (2/1)(2/3)(1/3) = 4/9; at
+    # r = 2, c(2, 3) = 1/4 and c(2, 4) = (3/1)(1/2)(1/4) = 3/8.
+    hand = {(3, 2, 1): Fraction(1, 3), (3, 3, 1): Fraction(4, 9),
+            (2, 3, 2): Fraction(1, 4), (2, 4, 2): Fraction(3, 8)}
+    for (m, n, r), c in hand.items():
+        assert coeff_direct(m, n, r) == c
+    # The float direct step, from its seed, keeps to the closed form.
+    for r in range(1, 6):
+        ctx = FloatDirectContext(20, r)
+        for n in range(r + 1, 61):
+            ctx.extend(n)
+            for mm in range(1, 21):
+                exact = coeff_direct(mm, n, r)
+                assert abs(ctx._coeffs[mm] - exact) <= 1e-12 * exact, (mm, n, r)
 
 
 def test_float_mode_matches_exact_small():

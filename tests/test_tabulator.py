@@ -12,6 +12,7 @@ import pytest
 import bbp.solvers
 import bbp.tabulator
 from bbp import cli
+from bbp.search import SearchRequest
 from bbp.stirling import NegativeCountError
 from bbp.tabulator import (
     TableSpec,
@@ -43,9 +44,7 @@ def test_single_cell_hand_derived():
 
 def test_small_grid_values():
     result = generate_table(small_spec())
-    assert result.cell(r=1, m=3) == 2
-    assert result.cell(r=1, m=10) == 4
-    assert result.cell(r=2, m=10) == 9
+    assert result.cells == [[2, 4], [4, 9]]  # rows r = 1, 2; columns m = 3, 10
 
 
 def test_spec_validation():
@@ -53,6 +52,11 @@ def test_spec_validation():
         TableSpec(m_values=[], r_values=[1])
     with pytest.raises(ValueError):
         TableSpec(m_values=[3], r_values=[1], gamma=Fraction(2))
+    # m and r are refused by the spec, before any cell or worker starts.
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        TableSpec(m_values=[0, 10], r_values=[1, 2], jobs=2)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        TableSpec(m_values=[10], r_values=[2, 0])
 
 
 def test_render_csv():
@@ -206,12 +210,12 @@ def _deadline(seconds, exc_type):
 def test_shared_counter_hands_out_each_cell_once(forked):
     # More workers than cores race for the counter: a lost update would skip
     # a cell or compute one twice.
-    cells = [(i, (m, r, (1, 2), False)) for i, (m, r) in enumerate(
-        (m, r) for m in range(1, 16) for r in (1, 2, 3))]
+    cells = list(enumerate(SearchRequest(m, r) for m in range(1, 16)
+                           for r in (1, 2, 3)))
     with _deadline(60, TimeoutError):
         pairs = bbp.tabulator._run_workers(cells, 6)
     assert sorted(i for i, _ in pairs) == list(range(len(cells)))
-    assert dict(pairs) == {i: bbp.tabulator._cell_job(job) for i, job in cells}
+    assert dict(pairs) == {i: bbp.tabulator._cell_job(req) for i, req in cells}
     assert multiprocessing.active_children() == []
 
 
@@ -247,7 +251,7 @@ def test_interrupt_stops_every_worker(forked, monkeypatch):
 
 def test_cross_check_base_cases():
     report = cross_check(1, 3, 2)
-    assert report.passed
+    assert report.divergences == []
     assert report.instances_checked == 8  # m=1, n in 0..3, r in {1, 2}
 
 
@@ -260,6 +264,6 @@ def test_cross_check_refuses_each_bound():
 
 def test_cross_check_small_grid():
     report = cross_check(4, 6, 3)
-    assert report.passed
+    assert report.divergences == []
     assert report.instances_checked == 4 * 7 * 3
     assert report.oracle_checked == report.instances_checked
