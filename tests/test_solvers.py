@@ -591,7 +591,7 @@ def test_column_keeps_a_window():
 # Coefficient precomputation
 
 
-def test_coeff_chain_matches_direct_evaluation():
+def test_coeff_seed_and_steps():
     # c(m, n) = C(n-1, r) (m-1)**(n-1-r) / m**(n-1), by hand: at r = 1,
     # c(3, 2) = 1/3 (the seed 1/m**r) and c(3, 3) = (2/1)(2/3)(1/3) = 4/9; at
     # r = 2, c(2, 3) = 1/4 and c(2, 4) = (3/1)(1/2)(1/4) = 3/8.
@@ -599,6 +599,16 @@ def test_coeff_chain_matches_direct_evaluation():
             (2, 3, 2): Fraction(1, 4), (2, 4, 2): Fraction(3, 8)}
     for (m, n, r), c in hand.items():
         assert coeff_direct(m, n, r) == c
+    # The float direct step lands on the same values: seed, then one step.
+    for m, r in ((3, 1), (2, 2)):
+        ctx = FloatDirectContext(m, r)
+        for n in (r + 1, r + 2):
+            ctx.extend(n)
+            assert ctx._coeffs[m] == pytest.approx(float(hand[m, n, r]),
+                                                   rel=1e-15), (m, n, r)
+
+
+def test_coeff_chain_matches_direct_evaluation():
     # The float direct step, from its seed, keeps to the closed form.
     for r in range(1, 6):
         ctx = FloatDirectContext(20, r)
