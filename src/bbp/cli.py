@@ -97,8 +97,8 @@ def build_parser() -> _Parser:
                    choices=["csv", "markdown", "json"])
     p.add_argument("--float-above", type=int, default=None, metavar="N",
                    help="search columns with m > N in float mode first, then"
-                        " walk exactly to the crossing (default: exact in"
-                        " every column)")
+                        " check that guess exactly (default: exact in every"
+                        " column)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(emit=_emit_table)
 

@@ -14,9 +14,11 @@ with one-digit multipliers and one exact division by n, and tests P in float
 log2, with the exact compare inside a proven bound on its rounding error.  A
 table cell and plain `nmax` output ask for n_max alone (certify=False), which
 skips building the two reduced certificate Fractions.  Mode.FLOAT, kept for
-`table --float-above`, first walks a floating-point direct context to a
-starting point and then the exact direct context to the true crossing: a
-slower cross-check whose answer and certificate equal the exact ones.
+`table --float-above`, walks a floating-point direct context to a guess s,
+the largest n with float P >= float(gamma), and checks it on one exact
+direct fill to s + 1: if P(s) >= gamma > P(s + 1), n_max = s and the
+certificate is read from that fill; otherwise the exact column search runs.
+A slower cross-check whose answer and certificate equal the exact ones.
 """
 
 from __future__ import annotations
@@ -54,20 +56,6 @@ def check_gamma(gamma: Fraction) -> None:
         raise ValueError("gamma must lie in (0, 1]")
 
 
-def _walk(at_least, start: int, hi_bound: int) -> int:
-    """The largest n in [0, hi_bound] with at_least(n), stepping from start.
-
-    at_least must hold at 0 and be monotone: true up to the answer, false
-    after it.
-    """
-    n = start
-    while n > 0 and not at_least(n):
-        n -= 1
-    while n < hi_bound and at_least(n + 1):
-        n += 1
-    return n
-
-
 def find_nmax(req: SearchRequest, certify: bool = True) -> SearchResult:
     """The unique n in [0, m*r] with P(m, n, r) >= gamma > P(m, n+1, r),
     with the two probabilities that certify it unless certify is False."""
@@ -76,13 +64,16 @@ def find_nmax(req: SearchRequest, certify: bool = True) -> SearchResult:
     m, r, gamma = req.m, req.r, req.gamma
     hi_bound = m * r
 
+    ctx = None
     if req.mode is Mode.FLOAT:
-        fctx = FloatDirectContext(m, r)
-        g = float(gamma)
-        start = _walk(lambda n: fctx.prob(n) >= g, 0, hi_bound)
+        fctx, g, n_max = FloatDirectContext(m, r), float(gamma), 0
+        while n_max < hi_bound and fctx.prob(n_max + 1) >= g:
+            n_max += 1
         ctx = DirectContext(m, r)
-        n_max = _walk(lambda n: ctx.prob_at_least(n, gamma), start, hi_bound)
-    else:
+        ctx.extend(n_max + 1)  # one horizon for the check and the certificate
+        if not ctx.prob_at_least(n_max, gamma) or ctx.prob_at_least(n_max + 1, gamma):
+            ctx = None  # the exact check refutes the float guess
+    if ctx is None:
         ctx = ColumnContext(m, r)
         # P(m*r + 1) = 0 < gamma, so the fill stops at n_max + 1 at the latest.
         n_max = ctx.extend(hi_bound + 1, below=gamma) - 1

@@ -366,12 +366,12 @@ class DirectContext(_Context):
 
     where H is the highest n the context serves and low the lowest mm it
     has been asked for (m until a sub-m read).  lo(nn-1-r) = lo(nn) - 1, so
-    every term a layer reads lies inside the bands before it.  An extend
-    past H refills from layer 0 with H doubled, so filling to n costs
-    O(min(m, n/(r+1))) per n.  A sub-m read below the band refills at full
-    width, and keep_all holds every layer at full width.  The trailing r+1
-    layers are kept (every layer with keep_all) plus the full top-row
-    (mm = m) history, so a search can query any already-filled n.
+    every term a layer reads lies inside the bands before it.  A fill to n
+    costs O(min(m, n/(r+1))) per n, and an extend past H refills from layer
+    0 with H = n.  A sub-m read below the band refills at full width, and
+    keep_all holds every layer at full width.  Only the trailing r+1 layers
+    are kept (every layer with keep_all): a read of a dropped n raises
+    ValueError, at mm = m too.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
@@ -388,12 +388,11 @@ class DirectContext(_Context):
         self._horizon, self._low = horizon, low
         self._layers = Layers([1] * (self.m - self._lo(0) + 1), self.r,
                               self._keep_all)
-        self._top = [1]
 
     def extend(self, n: int) -> None:
         if n > self._horizon:
             if self._low:
-                self._restart(max(2 * self._horizon, n), self._low)
+                self._restart(n, self._low)
             else:
                 self._horizon = n  # full width: lo(nn) stays 0
         self._layers.fill(n, self._step)
@@ -415,14 +414,11 @@ class DirectContext(_Context):
                         % (mm, nn, r)
                     )
             layer[mm - lo] = val
-        self._top.append(layer[-1])
         return layer
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self._mm(mm)
         self.extend(n)
-        if mm == self.m:
-            return self._top[n]
         layer = self._layers[n]  # a dropped layer raises ValueError
         if mm < self._lo(n):
             filled = self._layers.n

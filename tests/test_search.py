@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbp.search
 from bbp.search import SearchRequest, SearchResult, find_nmax
 from bbp.solvers import (
     AlgorithmId,
@@ -77,8 +78,8 @@ def test_gamma_validation():
 
 def test_float_mode_matches_exact():
     # 1 - 10^-25 rounds to 1.0 as a float, so at (10^4, 5) the float walk
-    # starts at 17 and the exact walk steps down 12 layers, past the r+1 it
-    # keeps, to n_max = 5: only the direct context's top-row history answers.
+    # guesses 17, the exact check refutes it, and the column search finds
+    # n_max = 5.
     half, near_one = Fraction(1, 2), Fraction(10 ** 25 - 1, 10 ** 25)
     for m, r, gamma in [(10, 2, half), (50, 1, half), (100, 3, half),
                         (25, 5, half), (10000, 5, near_one)]:
@@ -88,6 +89,47 @@ def test_float_mode_matches_exact():
         # The float path must still deliver an exact certificate.
         assert fast.p_at_nmax == exact.p_at_nmax
         assert fast.p_at_nmax_plus_1 == exact.p_at_nmax_plus_1
+
+
+def float_guessing(guess):
+    """A stand-in FloatDirectContext whose float P is 1 up to guess, then 0."""
+
+    class Guessing:
+        def __init__(self, m, r):
+            pass
+
+        def prob(self, n):
+            return 1.0 if n <= guess else 0.0
+
+    return Guessing
+
+
+@pytest.mark.parametrize("m, r", [(10, 2), (50, 3), (7, 4), (100, 2)])
+def test_float_mode_checks_its_guess(monkeypatch, m, r):
+    # A wrong guess, too low, too high or at either end, falls back to the
+    # column search; the right one is certified by the direct fill alone.
+    columns = []
+
+    class SpiedColumn(ColumnContext):
+        def __init__(self, m, r):
+            super().__init__(m, r)
+            columns.append(self)
+
+    monkeypatch.setattr(bbp.search, "ColumnContext", SpiedColumn)
+    k = find_nmax(SearchRequest(m=m, r=r)).n_max
+    attained = ColumnContext(m, r).prob(k)
+    for gamma in (Fraction(1, 2), attained):
+        for certify in (True, False):
+            exact = find_nmax(SearchRequest(m=m, r=r, gamma=gamma), certify)
+            assert exact.n_max == k
+            for guess in (k - 3, k + 3, 0, m * r, k):
+                monkeypatch.setattr(bbp.search, "FloatDirectContext",
+                                    float_guessing(guess))
+                columns.clear()
+                fast = find_nmax(SearchRequest(m=m, r=r, gamma=gamma,
+                                               mode=Mode.FLOAT), certify)
+                assert fast == exact, (gamma, certify, guess)
+                assert len(columns) == (guess != k), (gamma, certify, guess)
 
 
 def test_monotone_in_r_and_m():

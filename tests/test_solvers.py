@@ -273,8 +273,8 @@ def test_stirling_window_matches_column(data, m, r):
 
 def test_stirling_window_refuses_a_dropped_top_read():
     # r = 3 keeps rows 37..40 once the fill reaches 40, and no count history;
-    # the counting context's window refuses the same reads at mm = m.
-    for make in (StirlingContext, CountingContext):
+    # the counting and direct windows refuse the same reads at mm = m.
+    for make in (StirlingContext, CountingContext, DirectContext):
         ctx, full = make(20, 3), make(20, 3, keep_all=True)
         assert ctx.count(40) == full.count(40)
         assert ctx.count(37) == full.count(37)

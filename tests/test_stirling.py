@@ -90,8 +90,7 @@ def test_monotone_in_r():
 
 
 # Every windowed fill, built with keep_all on or off, and a read of layer n
-# that covers sub-m entries (only the counting and direct routes keep a
-# top-m history).
+# that covers sub-m entries (no route keeps a history behind its window).
 WINDOWED = {
     "RestrictedStirling": (
         lambda keep_all: RestrictedStirling(3, k_cap=20, keep_all=keep_all),
