@@ -359,40 +359,40 @@ class DirectContext(_Context):
         T(mm, nn) = mm * T(mm, nn-1) - mm * C(nn-1, r) * T(mm-1, nn-1-r)
 
     The recurrence steps mm down by one only every r+1 layers, so T(m, n)
-    depends on at most n/(r+1) + 1 values of mm.  In window mode a layer
-    holds only that cone: the layer at nn holds mm in [lo(nn), m], with
+    depends on at most n/(r+1) + 1 values of mm.  Window mode holds mm = m
+    alone, and each layer holds only the cone below it: the layer at nn
+    holds mm in [lo(nn), m], with
 
         lo(nn) = max(0, low - (H - nn) // (r+1)),
 
-    where H is the highest n the context serves and low the lowest mm it
-    has been asked for (m until a sub-m read).  lo(nn-1-r) = lo(nn) - 1, so
-    every term a layer reads lies inside the bands before it.  A fill to n
-    costs O(min(m, n/(r+1))) per n, and an extend past H refills from layer
-    0 with H = n.  A sub-m read below the band refills at full width, and
-    keep_all holds every layer at full width.  Only the trailing r+1 layers
-    are kept (every layer with keep_all): a read of a dropped n raises
-    ValueError, at mm = m too.
+    where H is the highest n the context serves and low is m (0 with
+    keep_all, which holds every mm at full width).  lo(nn-1-r) = lo(nn) - 1,
+    so every term a layer reads lies inside the bands before it.  A fill to
+    n costs O(min(m, n/(r+1))) per n, and an extend past H refills from
+    layer 0 with H = n.  Only the trailing r+1 layers are kept (every layer
+    with keep_all): a read of a dropped n raises ValueError.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         super().__init__(m, r)
-        self._keep_all = keep_all
-        self._restart(0, 0 if keep_all else m)
+        self.top_only = not keep_all
+        self._low = 0 if keep_all else m
+        self._restart(0)
 
     def _lo(self, nn: int) -> int:
         """The lowest mm the layer at nn holds."""
         return max(0, self._low - (self._horizon - nn) // (self.r + 1))
 
-    def _restart(self, horizon: int, low: int) -> None:
+    def _restart(self, horizon: int) -> None:
         """Drop every layer and start again from layer 0, T(mm, 0) = 1."""
-        self._horizon, self._low = horizon, low
+        self._horizon = horizon
         self._layers = Layers([1] * (self.m - self._lo(0) + 1), self.r,
-                              self._keep_all)
+                              not self.top_only)
 
     def extend(self, n: int) -> None:
         if n > self._horizon:
-            if self._low:
-                self._restart(n, self._low)
+            if self.top_only:
+                self._restart(n)
             else:
                 self._horizon = n  # full width: lo(nn) stays 0
         self._layers.fill(n, self._step)
@@ -419,16 +419,10 @@ class DirectContext(_Context):
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self._mm(mm)
         self.extend(n)
-        layer = self._layers[n]  # a dropped layer raises ValueError
-        if mm < self._lo(n):
-            filled = self._layers.n
-            self._restart(self._horizon, 0)
-            self.extend(filled)
-            layer = self._layers[n]
-        return layer[mm - self._lo(n)]
+        return self._layers[n][mm - self._lo(n)]  # a dropped layer raises ValueError
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
-        if n == 0:  # P(mm, 0) = 1, read without refilling below the band
+        if n == 0:  # P(mm, 0) = 1, read without layer 0, which may be dropped
             self._mm(mm)
             return Fraction(1)
         return super().prob(n, mm)

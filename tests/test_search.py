@@ -209,7 +209,8 @@ def test_column_resumes_across_thresholds(m, r, first, second, extra):
 @pytest.mark.parametrize("m, r", [(365, 1), (50, 3), (200, 2), (30, 7)])
 def test_nmax_with_a_150_bit_denominator(m, r):
     # Thresholds one 150-bit step either side of an attained P(m, k).
-    scan = DirectContext(m, r)
+    scan = DirectContext(m, r, keep_all=True)
+    scan.extend(m * r + 1)
     probs = [scan.prob(n) for n in range(m * r + 2)]
     k = find_nmax(SearchRequest(m=m, r=r)).n_max
     den = 3 ** 95  # 151 bits, and no factor in common with a power of 2

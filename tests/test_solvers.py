@@ -309,14 +309,19 @@ def test_contexts_refuse_mm_outside_0_to_m(make, keep_all):
                 ctx.t_value(mm, 3, 1)
     assert ctx.prob(3) == ctx.prob(3, 5) == Fraction(24, 25)
     assert ctx.count(3) == ctx.count(3, 5) == 120  # 5**3 less 5 triples
-    assert ctx.count(3, 0) == 0
+    if ctx.top_only:  # a window DirectContext holds mm = m alone
+        with pytest.raises(ValueError):
+            ctx.count(3, 0)
+    else:
+        assert ctx.count(3, 0) == 0
 
 
 @pytest.mark.parametrize("make", SUB_M_CONTEXTS)
 def test_prob_at_zero_days(make):
     # P(0, n) has no sample space for n > 0: it used to raise
-    # ZeroDivisionError (IndexError on DayContext).  P(0, 0) is 1.
-    ctx = make(5, 2)
+    # ZeroDivisionError (IndexError on DayContext).  P(0, 0) is 1.  A window
+    # DirectContext holds mm = m alone, so it is built with keep_all.
+    ctx = make(5, 2, keep_all=True) if make is DirectContext else make(5, 2)
     assert ctx.prob(0, 0) == 1
     for n in (1, 3):
         with pytest.raises(ValueError, match=r"P\(0, n\) is undefined for n > 0"):
@@ -401,14 +406,17 @@ def test_direct_window_matches_column_and_keep_all(data, m, r):
     ns = sorted(data.draw(st.lists(st.integers(0, 80), min_size=1, max_size=8)))
     assert DirectContext(m, r).prob(ns[-1]) == ColumnContext(m, r).prob(ns[-1])
     # One context read at rising n crosses its horizon and refills; at
-    # small m, sub-m reads below the band refill it at full width.
+    # small m, it refuses a sub-m read and agrees with keep_all at the top.
     shared, column = DirectContext(m, r), ColumnContext(m, r)
     full = DirectContext(m, r, keep_all=True) if m <= 30 else None
     for n in ns:
         assert shared.count(n) == column.count(n), (m, r, n)
         if full is not None and data.draw(st.booleans()):
             mm = data.draw(st.integers(1, m))
-            assert shared.count(n, mm) == full.count(n, mm), (m, r, n, mm)
+            if mm < m:
+                with pytest.raises(ValueError):
+                    shared.count(n, mm)
+            assert full.count(n, m) == shared.count(n), (m, r, n)
             assert shared.prob(n) == column.prob(n), (m, r, n)
 
 
@@ -462,12 +470,15 @@ def test_column_prob_nonincreasing_in_n(m, r):
 
 
 def test_column_refuses_other_m():
-    column = ColumnContext(10, 2)
-    assert column.count(5, 10) == column.count(5)
-    with pytest.raises(ValueError):
-        column.count(5, 9)
-    with pytest.raises(ValueError):
-        column.prob(5, 11)
+    # A window DirectContext holds mm = m alone too: at m = 10**6, a sub-m
+    # read used to refill it at full width for seconds.
+    for ctx in (ColumnContext(10, 2), DirectContext(10, 2), DirectContext(10 ** 6, 2)):
+        m = ctx.m
+        assert ctx.count(5, m) == ctx.count(5)
+        with pytest.raises(ValueError):
+            ctx.count(5, m - 1)
+        with pytest.raises(ValueError):
+            ctx.prob(5, m + 1)
     with pytest.raises(ValueError):
         ColumnContext(0, 2)
 
