@@ -19,7 +19,7 @@ from .solvers import (
     InstanceTooLargeError,
     ProblemInstance,
     count_exact,
-    count_valid_stirling,
+    count_valid_stirling,  # unused here; perfbench/tracing.py patches it in bbp.cli
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
@@ -144,10 +144,7 @@ def _emit_prob(args, out) -> None:
 def _emit_count(args, out) -> None:
     inst = ProblemInstance(args.days, args.people, args.max_per_day)
     algorithm = AlgorithmId(args.algo)
-    if algorithm is AlgorithmId.STIRLING:
-        n_valid = count_valid_stirling(inst)
-    else:
-        n_valid = count_exact(inst, algorithm)
+    n_valid = count_exact(inst, algorithm)
     if args.format == "json":
         _json_line(out, m=inst.m, n=inst.n, r=inst.r, algorithm=algorithm.value,
                    count=str(n_valid))

@@ -164,13 +164,19 @@ def count_bruteforce(inst: ProblemInstance) -> int:
     refused past DEFAULT_ORACLE_LIMIT bounded compositions, past n =
     ORACLE_MAX_N, or past ORACLE_WORK_LIMIT for compositions * m * n**2.
 
+    The coefficients of (1 + x + ... + x^r)^m are symmetric and unimodal,
+    so j <= n <= m r - j leaves at least C(m, j) compositions: that floor,
+    at j <= 4, refuses a large m before the closed form's O(m^3) sum runs.
+
     A branch puts k >= 1 people on the next occupied day b only if the days
     after b hold the rest: every branch ends in a composition, and empty days
     are never walked.  A stack of lazy iterators, one per occupied day, holds
     the walk, since its depth and its breadth can both reach n.
     """
     m, n, r = inst.m, inst.n, inst.r
-    compositions = bounded_composition_count(m, n, r)
+    compositions = math.comb(m, max(0, min(n, m * r - n, m, 4)))  # a floor
+    if compositions <= DEFAULT_ORACLE_LIMIT:
+        compositions = bounded_composition_count(m, n, r)
     if compositions > DEFAULT_ORACLE_LIMIT:
         raise InstanceTooLargeError(
             "brute force refused: more than %d bounded compositions for "
@@ -252,18 +258,17 @@ class DayContext(_Context):
 class CountingContext(_Context):
     """Occupancy counts T(mm, nn, kk, r) filled layer by layer over nn.
 
-    A layer holds the full (mm, kk) plane for one value of nn; the
+    A layer holds the triangle kk <= mm for one value of nn; the
     recurrence looks back 1 and r+1 layers, so only the trailing r+1
     layers are retained unless keep_all is requested, and a read of a
-    dropped nn raises ValueError, at mm = m too.  Inadmissible kk stay 0,
-    so N(mm, nn) is the sum of row mm.
+    dropped nn raises ValueError, at mm = m too.  The fill starts at kk =
+    ceil(nn/r), the fewest days that hold nn birthdays; the kk below stay
+    0, so N(mm, nn) is the sum of row mm.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         super().__init__(m, r)
-        base = [[0] * (m + 1) for _ in range(m + 1)]
-        for mm in range(m + 1):
-            base[mm][0] = 1  # T(mm, 0, 0, r) = 1
+        base = [[1] + [0] * mm for mm in range(m + 1)]  # T(mm, 0, 0, r) = 1
         self._layers = Layers(base, r, keep_all)
 
     def extend(self, n: int) -> None:
@@ -271,13 +276,12 @@ class CountingContext(_Context):
 
     def _step(self, nn: int, prev, back, c: int) -> list[list[int]]:
         m, r = self.m, self.r
-        layer = [[0] * (m + 1) for _ in range(m + 1)]
-        for mm in range(1, m + 1):
+        layer = [[0] * (mm + 1) for mm in range(m + 1)]
+        low = max(1, -(-nn // r))  # kk days hold nn birthdays only from here
+        for mm in range(low, m + 1):
             row, prow = layer[mm], prev[mm]
             brow = back[mm - 1] if c else None
-            for kk in range(1, min(mm, nn) + 1):
-                if nn > kk * r:
-                    continue  # kk days cannot hold nn birthdays
+            for kk in range(low, min(mm, nn) + 1):
                 val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk]
                 if c:
                     val -= mm * c * brow[kk - 1]
@@ -324,9 +328,8 @@ class StirlingContext(_Context):
         lo = -(-n // self.r)
         total = 0
         falling = math.perm(mm, lo)  # C(mm, k) * k! == mm falling-factorial k
-        for k in range(lo, min(mm, n) + 1):  # the row holds k <= min(n, m)
-            if row[k]:
-                total += falling * row[k]
+        for k in range(lo, min(mm, n) + 1):  # {n, k} > 0 for each such k <= m
+            total += falling * row[k]
             falling *= mm - k
         return total
 
@@ -402,9 +405,7 @@ class DirectContext(_Context):
         lo = self._lo(nn)
         lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
         layer = [0] * (m - lo + 1)
-        for mm in range(max(lo, 1), m + 1):
-            if nn > mm * r:
-                continue  # impossible by pigeonhole
+        for mm in range(max(lo, 1, -(-nn // r)), m + 1):  # pigeonhole: nn <= mm*r
             val = mm * prev[mm - lo_prev]
             if c:
                 val -= mm * c * back[mm - 1 - lo_back]
@@ -466,9 +467,7 @@ class FloatDirectContext(_Context):
             for mm in range(1, m + 1):
                 coeffs[mm] = coeffs[mm] * ((nn - 1) * (mm - 1)) / ((nn - 1 - r) * mm)
         layer = [0.0] * (m + 1)
-        for mm in range(1, m + 1):
-            if nn > mm * r:
-                continue
+        for mm in range(max(1, -(-nn // r)), m + 1):  # pigeonhole: nn <= mm*r
             val = prev[mm]
             if back is not None:
                 val -= coeffs[mm] * back[mm - 1]

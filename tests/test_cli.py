@@ -271,6 +271,16 @@ def test_oracle_limit_refuses_past_200k_compositions():
                              "--algo", "brute"])
     assert (code, out) == (2, "")
     assert err.startswith("refused:") and "200000" in err
+    # At m = 10^4 the closed form's sum took 14 s; the floor C(m, 4) of the
+    # compositions refuses first.
+    for m, n, r in ((20000, 30000, 2), (10000, 10000, 2)):
+        start = time.process_time()
+        code, out, err = invoke(["prob", "-m", str(m), "-n", str(n), "-r", str(r),
+                                 "--algo", "brute"])
+        assert time.process_time() - start < 0.2, (m, n, r)
+        assert (code, out) == (2, "")
+        assert err == ("refused: brute force refused: more than 200000 bounded "
+                       "compositions for m=%d n=%d r=%d\n" % (m, n, r))
 
 
 @pytest.mark.parametrize("m, n, r", [

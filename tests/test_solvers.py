@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bbp.solvers
+from bbp.cli import run
 from bbp.solvers import (
     AlgorithmId,
     ColumnContext,
@@ -673,13 +675,26 @@ def test_all_exact_algorithms_agree_small_grid():
 
 @pytest.mark.parametrize("algorithm", list(AlgorithmId))
 def test_count_exact_closed_forms(algorithm, monkeypatch):
+    # Each closed form is read through count_exact, prob_exact and the CLI's
+    # count and prob --format frac, on the pigeonhole edge n = m*r too.
+    def check(m, n, r, count):
+        inst, p = ProblemInstance(m, n, r), Fraction(count, m ** n)
+        assert count_exact(inst, algorithm) == count, inst
+        assert prob_exact(inst, algorithm) == p, inst
+        flags = ["-m", str(m), "-n", str(n), "-r", str(r), "--algo", algorithm.value]
+        for argv, line in ((["count"] + flags, str(count)),
+                           (["prob", "--format", "frac"] + flags,
+                            "%d/%d" % (p.numerator, p.denominator))):
+            out, err = io.StringIO(), io.StringIO()
+            assert (run(argv, out=out, err=err), out.getvalue(), err.getvalue()) == (
+                0, line + "\n", ""), argv
+
     # r = 1 leaves a falling factorial, n = m*r a multinomial coefficient.
     for m in (1, 2, 5, 7):
         for n in range(m + 3):
-            assert count_exact(ProblemInstance(m, n, 1), algorithm) == math.perm(m, n)
+            check(m, n, 1, math.perm(m, n))
         for r in (1, 2, 3):
-            assert count_exact(ProblemInstance(m, m * r, r), algorithm) == (
-                math.factorial(m * r) // math.factorial(r) ** m), (m, r)
+            check(m, m * r, r, math.factorial(m * r) // math.factorial(r) ** m)
     # n <= r gives all m**n (n = 0 the one empty assignment) and n > m*r
     # none; every route but the oracle answers them without a context.
     if algorithm is not AlgorithmId.BRUTE_FORCE:
@@ -687,13 +702,13 @@ def test_count_exact_closed_forms(algorithm, monkeypatch):
             raise AssertionError("a context was made for m=%d r=%d" % (m, r))
 
         monkeypatch.setattr(bbp.solvers, "make_context", no_context)
-        assert count_exact(ProblemInstance(5, 3, 2 * 10**7), algorithm) == 125
+        check(5, 3, 2 * 10**7, 125)
     for m in (1, 2, 5):
         for r in (1, 2, 3):
             for n in (m * r + 1, m * r + 7):
-                assert count_exact(ProblemInstance(m, n, r), algorithm) == 0
+                check(m, n, r, 0)
             for n in range(r + 1):
-                assert count_exact(ProblemInstance(m, n, r), algorithm) == m ** n
+                check(m, n, r, m ** n)
 
 
 def test_probability_range_and_degenerate_cases():
