@@ -62,7 +62,8 @@ EGF_MAX_R = 100
 
 
 class InstanceTooLargeError(Exception):
-    """The brute-force oracle refused an instance beyond its guard."""
+    """A query refused before it runs: an instance beyond the brute-force
+    oracle's guard, or more decimal digits than the CLI prints."""
 
 
 class AlgorithmId(Enum):
@@ -359,68 +360,64 @@ class DirectContext(_Context):
     T(mm, nn) over the implicit denominator mm**nn, which turns the
     probability recurrence into a pure integer one:
 
-        T(mm, nn) = mm * T(mm, nn-1) - mm * C(nn-1, r) * T(mm-1, nn-1-r)
+        T(mm, nn) = mm * (T(mm, nn-1) - C(nn-1, r) * T(mm-1, nn-1-r))
 
     The recurrence steps mm down by one only every r+1 layers, so T(m, n)
-    depends on at most n/(r+1) + 1 values of mm.  Window mode holds mm = m
-    alone, and each layer holds only the cone below it: the layer at nn
-    holds mm in [lo(nn), m], with
-
-        lo(nn) = max(0, low - (H - nn) // (r+1)),
-
-    where H is the highest n the context serves and low is m (0 with
-    keep_all, which holds every mm at full width).  lo(nn-1-r) = lo(nn) - 1,
-    so every term a layer reads lies inside the bands before it.  A fill to
-    n costs O(min(m, n/(r+1))) per n, and an extend past H refills from
-    layer 0 with H = n.  Only the trailing r+1 layers are kept (every layer
-    with keep_all): a read of a dropped n raises ValueError.
+    depends on at most n/(r+1) + 1 values of mm.  Each layer is held from
+    the top, layer[i] = T(m - i, nn), so the T(mm-1, nn-1-r) a cell reads is
+    back[i + 1].  keep_all holds all m + 1 values of mm.  Window mode holds
+    mm = m alone, and the layer at nn holds only the cone below it: the
+    min(m, (H - nn) // (r+1)) + 1 values from m down, where H is the highest
+    n the context serves.  The layer r+1 back holds one more value, up to
+    m + 1, and a step stops at mm = ceil(nn/r) >= 1 (pigeonhole), so every
+    back[i + 1] a cell reads is held.  A fill to n costs O(min(m,
+    n/(r+1))) per n, and an extend past H refills from layer 0 with H = n.
+    Only the trailing r+1 layers are kept (every layer with keep_all): a
+    read of a dropped n raises ValueError.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         super().__init__(m, r)
         self.top_only = not keep_all
-        self._low = 0 if keep_all else m
         self._restart(0)
 
-    def _lo(self, nn: int) -> int:
-        """The lowest mm the layer at nn holds."""
-        return max(0, self._low - (self._horizon - nn) // (self.r + 1))
+    def _width(self, nn: int) -> int:
+        """How many mm, from m down, the layer at nn holds."""
+        if self.top_only:
+            return min(self.m, (self._horizon - nn) // (self.r + 1)) + 1
+        return self.m + 1
 
     def _restart(self, horizon: int) -> None:
         """Drop every layer and start again from layer 0, T(mm, 0) = 1."""
         self._horizon = horizon
-        self._layers = Layers([1] * (self.m - self._lo(0) + 1), self.r,
-                              not self.top_only)
+        self._layers = Layers([1] * self._width(0), self.r, not self.top_only)
 
     def extend(self, n: int) -> None:
-        if n > self._horizon:
-            if self.top_only:
-                self._restart(n)
-            else:
-                self._horizon = n  # full width: lo(nn) stays 0
+        if self.top_only and n > self._horizon:
+            self._restart(n)
         self._layers.fill(n, self._step)
 
     def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
-        m, r = self.m, self.r
-        lo = self._lo(nn)
-        lo_prev, lo_back = self._lo(nn - 1), self._lo(nn - 1 - r)
-        layer = [0] * (m - lo + 1)
-        for mm in range(max(lo, 1, -(-nn // r)), m + 1):  # pigeonhole: nn <= mm*r
-            val = mm * prev[mm - lo_prev]
-            if c:
-                val -= mm * c * back[mm - 1 - lo_back]
-                if val < 0:
-                    raise NegativeCountError(
-                        "direct fill went negative at m=%d n=%d r=%d"
-                        % (mm, nn, r)
-                    )
-            layer[mm - lo] = val
+        m = self.m
+        width = self._width(nn)
+        if not c:  # nn <= r: no day can pass r yet
+            return [(m - i) * t for i, t in zip(range(width), prev)]
+        layer = [0] * width
+        # pigeonhole: nn birthdays need mm >= ceil(nn/r), so i <= m - ceil(nn/r)
+        for i in range(min(width, m + 1 - -(-nn // self.r))):
+            v = prev[i] - c * back[i + 1]
+            if v < 0:
+                raise NegativeCountError(
+                    "direct fill went negative at m=%d n=%d r=%d"
+                    % (m - i, nn, self.r)
+                )
+            layer[i] = (m - i) * v
         return layer
 
     def count(self, n: int, mm: int | None = None) -> int:
         mm = self._mm(mm)
         self.extend(n)
-        return self._layers[n][mm - self._lo(n)]  # a dropped layer raises ValueError
+        return self._layers[n][self.m - mm]  # a dropped layer raises ValueError
 
     def prob(self, n: int, mm: int | None = None) -> Fraction:
         if n == 0:  # P(mm, 0) = 1, read without layer 0, which may be dropped

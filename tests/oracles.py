@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected test values.
 
 Most enumerate raw objects (assignments, set partitions); miller_counts
-runs a textbook recurrence and coeff_direct evaluates a closed form.  None
-shares code with the solvers they check.
+runs a textbook recurrence, and coeff_direct, two_day_count and
+one_day_over_count evaluate closed forms.  None shares code with the
+solvers they check.
 """
 
 from __future__ import annotations
@@ -84,3 +85,21 @@ def coeff_direct(m: int, n: int, r: int) -> Fraction:
     if n - 1 - r < 0:
         return Fraction(0)
     return Fraction(comb(n - 1, r) * (m - 1) ** (n - 1 - r), m ** (n - 1))
+
+
+def two_day_count(n: int, r: int) -> int:
+    """N(2, n, r) = sum_{j=max(0,n-r)}^{min(n,r)} C(n, j): the first day
+    takes j birthdays and the second n - j, both at most r."""
+    total, c = 0, comb(n, max(0, n - r))
+    for j in range(max(0, n - r), min(n, r) + 1):
+        total += c
+        c = c * (n - j) // (j + 1)  # C(n, j+1)
+    return total
+
+
+def one_day_over_count(m: int, n: int, r: int) -> int:
+    """N(m, n, r) for n <= 2r + 1, where at most one day can pass r:
+    m**n - m sum_{j=r+1}^{n} C(n, j) (m-1)**(n-j)."""
+    assert n <= 2 * r + 1
+    return m ** n - m * sum(comb(n, j) * (m - 1) ** (n - j)
+                            for j in range(r + 1, n + 1))

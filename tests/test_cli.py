@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -242,6 +243,8 @@ def test_usage_errors_exit_1():
      "digits must be >= 0"),
     (["table", "--days", "5..3"], "empty range '5..3'"),
     (["table", "--days", ","], "empty list ','"),
+    (["table", "--days", "1..2..3"], "malformed list '1..2..3'"),
+    (["table", "--days", "1..x"], "malformed list '1..x'"),
     # nmax and table refuse m < 1 and r < 1 in the words of prob and count.
     (["nmax", "-m", "0", "-r", "1"], "m must be >= 1"),
     (["nmax", "-m", "3", "-r", "0"], "r must be >= 1"),
@@ -249,10 +252,51 @@ def test_usage_errors_exit_1():
      "m must be >= 1"),
     (["table", "--days", "10", "--max-per-day", "2,0", "--float-above", "1"],
      "r must be >= 1"),
-], ids=["negative-digits", "empty-range", "empty-list", "nmax-m", "nmax-r",
-        "table-m-jobs", "table-r-float"])
+], ids=["negative-digits", "empty-range", "empty-list", "range-of-three",
+        "range-of-text", "nmax-m", "nmax-r", "table-m-jobs", "table-r-float"])
 def test_value_refusals_exit_1(argv, message):
     assert invoke(argv) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["-h"],
+    *([command, "--help"] for command in bbp.cli.build_parser().commands),
+    ["prob", "-m", "3", "-n", "2"],                                # missing flag
+    ["count", "-m", "x", "-n", "2", "-r", "1"],                    # bad int
+    ["prob", "-m", "3", "-n", "2", "-r", "1", "--algo", "magic"],  # bad choice
+    ["nmax", "-m", "10", "-r", "1", "--mode", "float"],            # unknown flag
+    ["prob", "--days=5", "--peop", "3", "-r", "1"],                # = and abbreviation
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_once_keeps_every_message(monkeypatch, argv):
+    # A known subcommand is parsed by its own parser alone; every exit code,
+    # message and help text equals a parse through the full parser.
+    def outcome():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out):  # help goes to sys.stdout
+            try:
+                code = run(argv, out=out, err=err)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    parser = bbp.cli.build_parser()
+    if argv and argv[0] in parser.commands:
+        monkeypatch.setattr(parser, "parse_args", None)  # one argparse pass
+    once = outcome()
+    monkeypatch.undo()
+    monkeypatch.setattr(parser, "commands", {})
+    assert outcome() == once
+
+
+def test_digits_past_the_bound_exit_2():
+    # decimal_string is quadratic in digits before Python 3.12; 3 * 10**8
+    # digits never finished.  The bound is checked before any arithmetic.
+    argv = ["prob", "-m", "5", "-n", "3", "-r", "1", "--format", "dec", "--digits"]
+    start = time.process_time()
+    assert invoke(argv + ["300000000"]) == (
+        2, "", "refused: --digits is capped at 100000 (got 300000000)\n")
+    assert time.process_time() - start < 0.1
+    assert invoke(argv + ["100000"]) == (0, "0.48" + "0" * 99998 + "\n", "")
 
 
 def test_oracle_guard_exit_2():

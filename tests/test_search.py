@@ -16,6 +16,7 @@ from bbp.solvers import (
     prob_exact,
 )
 from bbp.tabulator import TableSpec
+from oracles import two_day_count
 
 
 def certificate_holds(m, r, gamma, result: SearchResult,
@@ -262,3 +263,16 @@ def test_nmax_stops_past_the_egf_switch_on_a_zero_probability():
     result = find_nmax(SearchRequest(m=m, r=r, gamma=Fraction(1, 10 ** 41)))
     full = Fraction(math.factorial(m * r), math.factorial(r) ** m * m ** (m * r))
     assert result == SearchResult(m * r, full, Fraction(0))
+
+
+@pytest.mark.parametrize("r", [100, 300])
+def test_nmax_at_two_days_matches_the_closed_form(r):
+    # P(2, n, r) = N(2, n, r) / 2**n falls with n; scan the closed form for
+    # the last n at or above 1/2.
+    def p(n):
+        return Fraction(two_day_count(n, r), 2 ** n)
+
+    n = 0
+    while p(n + 1) >= Fraction(1, 2):
+        n += 1
+    assert find_nmax(SearchRequest(2, r)) == SearchResult(n, p(n), p(n + 1))

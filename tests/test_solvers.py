@@ -1,5 +1,6 @@
 import io
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bbp.solvers
 from bbp.cli import run
+from bbp.exact_arith import big_int_strings
 from bbp.solvers import (
     AlgorithmId,
     ColumnContext,
@@ -31,6 +33,8 @@ from oracles import (
     assignments_prob,
     coeff_direct,
     miller_counts,
+    one_day_over_count,
+    two_day_count,
 )
 
 ALL_CONTEXTS = [DayContext, CountingContext, StirlingContext, DirectContext,
@@ -525,15 +529,17 @@ def test_egf_fill_guards_exactness():
 
 
 @pytest.mark.parametrize("make, kept", [
-    (lambda: CountingContext(3, 2, keep_all=True), lambda ctx: ctx._layers[2][3]),
-    (lambda: DirectContext(3, 2, keep_all=True), lambda ctx: ctx._layers[2]),
-    (lambda: RestrictedStirling(2, k_cap=3, keep_all=True), lambda ctx: ctx._rows[2]),
+    (lambda: CountingContext(3, 2, keep_all=True), lambda ctx: (ctx._layers[2][3], -1)),
+    # A direct layer is held from the top: index 0 is mm = m.
+    (lambda: DirectContext(3, 2, keep_all=True), lambda ctx: (ctx._layers[2], 0)),
+    (lambda: RestrictedStirling(2, k_cap=3, keep_all=True), lambda ctx: (ctx._rows[2], -1)),
 ])
 def test_layered_fills_guard_exactness(make, kept):
     # A kept count far too small drives the next layer negative.
     ctx = make()
     ctx.extend(2)
-    kept(ctx)[-1] -= 10 ** 6
+    layer, i = kept(ctx)
+    layer[i] -= 10 ** 6
     with pytest.raises(NegativeCountError):
         ctx.extend(12)
 
@@ -709,6 +715,41 @@ def test_count_exact_closed_forms(algorithm, monkeypatch):
                 check(m, n, r, 0)
             for n in range(r + 1):
                 check(m, n, r, m ** n)
+
+
+DIRECT_AND_COLUMN = (AlgorithmId.DIRECT, AlgorithmId.COLUMN)
+
+
+@pytest.mark.parametrize("m, n, r, algorithms", [
+    # m = 2: the direct cone is at most 3 wide, and at n > 2r + 1 m binds it.
+    (2, 400, 210, DIRECT_AND_COLUMN),
+    (2, 150, 60, DIRECT_AND_COLUMN),
+    (2, 5000, 2600, (AlgorithmId.DIRECT,)),
+    (2, 3500, 1000, (AlgorithmId.DIRECT,)),
+    # n <= 2r + 1: at most one day passes r, and n/(r+1) binds the cone.
+    (7, 11, 5, DIRECT_AND_COLUMN),
+    (365, 23, 11, DIRECT_AND_COLUMN),
+    (10 ** 6, 201, 100, DIRECT_AND_COLUMN),
+    (10 ** 5, 2001, 1000, (AlgorithmId.DIRECT,)),  # column takes about 20 s
+], ids=lambda v: "+".join(a.value for a in v) if isinstance(v, tuple) else None)
+def test_closed_forms_at_the_cone_edges(m, n, r, algorithms):
+    # Each form is read through count_exact, prob_exact and the CLI's count
+    # and prob on every route that is cheap there.
+    count = two_day_count(n, r) if m == 2 else one_day_over_count(m, n, r)
+    inst, p = ProblemInstance(m, n, r), Fraction(count, m ** n)
+    start = time.process_time()
+    for algorithm in algorithms:
+        assert count_exact(inst, algorithm) == count, algorithm
+        assert prob_exact(inst, algorithm) == p, algorithm
+        flags = ["-m", str(m), "-n", str(n), "-r", str(r), "--algo", algorithm.value]
+        with big_int_strings():  # the count at (10**5, 2001) has 10,005 digits
+            lines = {"count": "%d\n" % count,
+                     "prob": "%d/%d\n" % (p.numerator, p.denominator)}
+        for command, line in lines.items():
+            out, err = io.StringIO(), io.StringIO()
+            assert (run([command] + flags, out=out, err=err), out.getvalue(),
+                    err.getvalue()) == (0, line, ""), (command, algorithm)
+    assert time.process_time() - start < 1
 
 
 def test_probability_range_and_degenerate_cases():
