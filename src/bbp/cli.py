@@ -1,8 +1,8 @@
 """Command-line front end.  Exact, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 computation refusal (oracle guard,
---digits past 100000, a recurrence that lost exactness, out of memory), 130
-interrupted (Ctrl-C).
+--digits past 100000, a `stirling` past its work bound, a recurrence that
+lost exactness, out of memory), 130 interrupted (Ctrl-C).
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .exact_arith import big_int_strings, decimal_string, parse_rational
@@ -29,6 +30,14 @@ from .tabulator import TableSpec, cross_check, generate_table, render
 # The most digits `prob --format dec` prints: decimal_string is quadratic in
 # them before Python 3.12 (0.2 s at 10^5 digits, 1.6 s at 3 * 10^5).
 MAX_DIGITS = 100_000
+# The most work `stirling` starts, as _stirling_work estimates it.  Process
+# time on a 2-core VM, Python 3.11, with the estimate in units of 10^9:
+# restricted (n, k, r) = (1000, 500, 3) 0.20 s [1.9], (2000, 1000, 3) 0.82 s
+# [17], (1500, 750, 20) 1.38 s [12], (2000, 1000, 10) 2.36 s [26], (4000, 300,
+# 20) 2.98 s [27], (3000, 1500, 3) 3.27 s [62]; classic (n, k) = (2500, 1250)
+# 0.14 s [5.7], (5000, 2500) 1.10 s [37], (7000, 3500) 2.79 s [85].  The bound
+# admits about 1.5 s of the classic sum and 2.5-6 s of the restricted fill.
+MAX_STIRLING_WORK = 5 * 10**10
 
 
 class UsageError(Exception):
@@ -187,12 +196,33 @@ def _emit_table(args, out) -> None:
     out.write(render(result))
 
 
+def _stirling_work(n: int, k: int, r: int | None) -> int:
+    """The work of {n, k} or {n, k}_{<=r}, in bit operations, before any
+    arithmetic; 0 where the library answers at once.
+
+    Values are at most k**n, under w = n ceil(log2 k) + 64 bits.  The sum takes
+    k + 1 powers j**n, each about w sqrt(w) (Karatsuba multiplies in w**1.585).
+    The restricted fill visits k' = ceil(nn/r)..min(nn, k) in each row nn <= n,
+    about (k (2n - k) r - n^2) / (2r) cells in all, one addition of w bits each.
+    """
+    if n <= 0 or not 0 < k < n or (r is not None and n > k * r):
+        return 0
+    width = n * (k - 1).bit_length() + 64
+    if r is None:
+        return (k + 1) * width * math.isqrt(width)
+    return ((k * (2 * n - k) * r - n * n) // (2 * r) + n) * width
+
+
 def _emit_stirling(args, out) -> None:
-    if args.max_size is None:
-        out.write(str(stirling2(args.objects, args.blocks)) + "\n")
-    else:
-        out.write(str(restricted_stirling2(args.objects, args.blocks,
-                                           args.max_size)) + "\n")
+    n, k, r = args.objects, args.blocks, args.max_size
+    work = _stirling_work(n, k, r)
+    if work > MAX_STIRLING_WORK:
+        raise InstanceTooLargeError(
+            "stirling -n %d -k %d%s needs about %d bit operations, past the "
+            "bound of %d" % (n, k, "" if r is None else " -r %d" % r, work,
+                             MAX_STIRLING_WORK))
+    value = stirling2(n, k) if r is None else restricted_stirling2(n, k, r)
+    out.write("%d\n" % value)
 
 
 def _emit_xcheck(args, out) -> None:

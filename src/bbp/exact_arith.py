@@ -53,12 +53,12 @@ class Layers:
     def fill(self, n: int, step) -> None:
         """Append layers up to n.  step(nn, prev, back, c) returns layer nn
         from prev, layer nn-1, and back, layer nn-1-depth, with
-        c = C(nn-1, depth); back is None exactly when c == 0."""
+        c = C(nn-1, depth); with no layer nn-1-depth, c == 0 and back is prev."""
         items, r = self.items, self.depth
         c = math.comb(self.n, r)  # carried from layer to layer
         while self.n < n:
             nn = self.n + 1
-            items.append(step(nn, items[-1], items[-1 - r] if c else None, c))
+            items.append(step(nn, items[-1], items[-1 - r] if c else items[-1], c))
             self.n = nn
             c = c * nn // (nn - r) if nn > r else math.comb(nn, r)
 

@@ -32,7 +32,9 @@ The layered fills (counting, direct, float direct, restricted Stirling,
 column) keep their layers in one `exact_arith.Layers` store: the trailing
 window their recurrence looks back on, or every layer with keep_all.  All
 but column advance through `Layers.fill`, which owns the loop and the
-C(nn-1, r) carry; each supplies only its step, the recurrence body.
+C(nn-1, r) carry; each supplies only its step, the recurrence body.  A
+step always gets two layers: before layer nn-1-r exists (nn <= r), C(nn-1,
+r) = 0 and `back` is `prev`, so no cell tests for a missing neighbour.
 """
 
 from __future__ import annotations
@@ -280,12 +282,9 @@ class CountingContext(_Context):
         layer = [[0] * (mm + 1) for mm in range(m + 1)]
         low = max(1, -(-nn // r))  # kk days hold nn birthdays only from here
         for mm in range(low, m + 1):
-            row, prow = layer[mm], prev[mm]
-            brow = back[mm - 1] if c else None
+            row, prow, brow, mc = layer[mm], prev[mm], back[mm - 1], mm * c
             for kk in range(low, min(mm, nn) + 1):
-                val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk]
-                if c:
-                    val -= mm * c * brow[kk - 1]
+                val = (mm - kk + 1) * prow[kk - 1] + kk * prow[kk] - mc * brow[kk - 1]
                 if val < 0:
                     raise NegativeCountError(
                         "counting fill went negative at m=%d n=%d k=%d r=%d"
@@ -318,12 +317,14 @@ class StirlingContext(_Context):
     An answer fills the rows up to n and sums one, O(min(n, m)) terms a row.
     Window mode keeps the last r+1 rows: a read of a dropped n > 0 raises
     ValueError, at mm = m too; n = 0 gives 1 without a row.  Rows stop at
-    k = m, so mm > m is refused.
+    k = min(m, n), so mm > m is refused, and an extend to an n that needs
+    wider rows refills them from row 0.
     """
 
     def __init__(self, m: int, r: int, keep_all: bool = False):
         super().__init__(m, r)
-        self._table = RestrictedStirling(r, k_cap=m, keep_all=keep_all)
+        self._keep_all = keep_all
+        self._table = RestrictedStirling(r, 0, keep_all)
 
     def _sum_row(self, row: list[int], n: int, mm: int) -> int:
         lo = -(-n // self.r)
@@ -335,6 +336,9 @@ class StirlingContext(_Context):
         return total
 
     def extend(self, n: int) -> None:
+        # Rows m + 1 wide took 795 MiB at m = 10^6, n = 201, r = 100.
+        if self._table.k_cap < min(self.m, n):
+            self._table = RestrictedStirling(self.r, min(self.m, n), self._keep_all)
         self._table.extend(n)
 
     def count(self, n: int, mm: int | None = None) -> int:
@@ -465,12 +469,8 @@ class FloatDirectContext(_Context):
                 coeffs[mm] = coeffs[mm] * ((nn - 1) * (mm - 1)) / ((nn - 1 - r) * mm)
         layer = [0.0] * (m + 1)
         for mm in range(max(1, -(-nn // r)), m + 1):  # pigeonhole: nn <= mm*r
-            val = prev[mm]
-            if back is not None:
-                val -= coeffs[mm] * back[mm - 1]
-                if val < 0:
-                    val = 0.0
-            layer[mm] = val
+            val = prev[mm] - coeffs[mm] * back[mm - 1]
+            layer[mm] = 0.0 if val < 0 else val
         return layer
 
     def prob(self, n: int, mm: int | None = None) -> float:

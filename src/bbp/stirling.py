@@ -19,12 +19,14 @@ class NegativeCountError(RuntimeError):
 def stirling2(n: int, k: int) -> int:
     """Classic Stirling number of the second kind {n, k}.
 
-    Zero for k < 0 or k > n, with stirling2(0, 0) = 1.
+    Zero for k < 0 or k > n, and one for k == n without the sum.
     """
     if n < 0:
         raise ValueError("stirling2 requires n >= 0")
     if k < 0 or k > n:
         return 0
+    if k == n:
+        return 1  # all singletons, and {0, 0}
     total, remainder = divmod(
         sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)),
         math.factorial(k))
@@ -36,9 +38,9 @@ def stirling2(n: int, k: int) -> int:
 class RestrictedStirling:
     """Incrementally grown table of {n, k} restricted to block size <= r.
 
-    Rows are indexed by n; each row holds k = 0..min(n, k_cap).  By default
-    only the trailing r+1 rows are retained (the recurrence looks back r+1
-    rows); pass keep_all=True to retain the whole table, e.g. for sweep grids.
+    Rows are indexed by n and hold k = 0..k_cap, zero past k = n.  Only the
+    trailing r+1 rows are retained (the recurrence looks back r+1 rows) unless
+    keep_all=True retains the whole table, e.g. for sweep grids.
     """
 
     def __init__(self, r: int, k_cap: int, keep_all: bool = False):
@@ -46,55 +48,43 @@ class RestrictedStirling:
             raise ValueError("restriction r must be >= 1")
         self.r = r
         self.k_cap = k_cap
-        self._rows = Layers([1], r, keep_all)  # {0, 0} = 1
+        self._rows = Layers([1] + [0] * k_cap, r, keep_all)  # {0, 0} = 1
 
     def extend(self, n: int) -> None:
         self._rows.fill(n, self._step)
 
-    def _step(self, nn: int, prev: list[int], back, c: int) -> list[int]:
-        r = self.r
-        row = [0] * (min(nn, self.k_cap) + 1)
-        # Entries past the end of a shorter row are structurally zero.
-        len_prev, len_back = len(prev), len(back) if c else 0
-        for k in range(max(1, -(-nn // r)), len(row)):  # nn <= k*r
-            val = prev[k - 1]
-            if k < len_prev:
-                val += k * prev[k]
-            if k <= len_back:
-                val -= c * back[k - 1]
+    def _step(self, nn: int, prev: list[int], back: list[int], c: int) -> list[int]:
+        row = [0] * (self.k_cap + 1)
+        for k in range(-(-nn // self.r), min(nn, self.k_cap) + 1):  # nn <= k*r
+            val = prev[k - 1] + k * prev[k] - c * back[k - 1]
             if val < 0:
                 raise NegativeCountError(
                     "restricted Stirling fill went negative at n=%d k=%d r=%d"
-                    % (nn, k, r)
+                    % (nn, k, self.r)
                 )
             row[k] = val
         return row
 
     def row(self, n: int) -> list[int]:
-        """Values {n, k} for k = 0..min(n, k_cap)."""
+        """Values {n, k} for k = 0..k_cap."""
         self.extend(n)
         return self._rows[n]
 
     def value(self, n: int, k: int) -> int:
         row = self.row(n)
-        if k < 0 or k >= len(row):
-            return 0
-        return row[k]
+        return row[k] if 0 <= k < len(row) else 0
 
 
 def restricted_stirling2(n: int, k: int, r: int) -> int:
     """{n, k} with every block of size at most r.
 
-    Zero when (n <= 0 and k > 0) or (n > 0 and k <= 0) or n > k*r;
-    one when n == 0 and k == 0.
+    Zero when k < 0, k > n or n > k*r (so for k = 0 < n), and one when
+    k == n, without a fill.
     """
     if n < 0:
         raise ValueError("restricted_stirling2 requires n >= 0")
-    if k < 0 or k > n:
+    if k < 0 or k > n or n > k * r:
         return 0
-    if n == 0:
-        return 1
-    if k == 0 or n > k * r:
-        return 0
-    table = RestrictedStirling(r, k_cap=k)
-    return table.value(n, k)
+    if k == n:
+        return 1  # all singletons, and {0, 0}
+    return RestrictedStirling(r, k_cap=k).value(n, k)

@@ -299,6 +299,41 @@ def test_digits_past_the_bound_exit_2():
     assert invoke(argv + ["100000"]) == (0, "0.48" + "0" * 99998 + "\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["-n", "100000", "-k", "50000", "-r", "3"],  # ran until killed
+    ["-n", "100000", "-k", "50000"],
+    ["-n", "1000000000000", "-k", "999999999999", "-r", "2"],
+])
+def test_stirling_past_the_work_bound_exit_2(argv):
+    # The work is estimated before any arithmetic.
+    start = time.process_time()
+    code, out, err = invoke(["stirling"] + argv)
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err.startswith("refused: stirling %s needs about " % " ".join(argv))
+    assert err.endswith(" past the bound of %d\n" % bbp.cli.MAX_STIRLING_WORK)
+
+
+def test_stirling_work_bound_admits(monkeypatch):
+    # These answer in about 1 s each; the stubs show the bound lets them
+    # through without doing the arithmetic here.
+    monkeypatch.setattr(bbp.cli, "restricted_stirling2", lambda n, k, r: 7)
+    monkeypatch.setattr(bbp.cli, "stirling2", lambda n, k: 7)
+    for argv in (["-n", "2000", "-k", "1000", "-r", "3"], ["-n", "5000", "-k", "2500"]):
+        assert invoke(["stirling"] + argv) == (0, "7\n", ""), argv
+    monkeypatch.undo()
+    # The library answers these at once (k > n, n > k r, k = n, n = 0), so
+    # no size is refused.
+    big = "1000000000000"
+    for argv, want in [
+        (["-n", big, "-k", big + "0"], "0"), (["-n", big, "-k", "5", "-r", "3"], "0"),
+        (["-n", big, "-k", big], "1"), (["-n", big, "-k", big, "-r", "2"], "1"),
+        (["-n", "0", "-k", "0"], "1"), (["-n", "0", "-k", "0", "-r", "1"], "1"),
+        (["-n", big, "-k", "0"], "0"), (["-n", big, "-k", "1"], "1"),
+    ]:
+        assert invoke(["stirling"] + argv) == (0, want + "\n", ""), argv
+
+
 def test_oracle_guard_exit_2():
     code, out, err = invoke(["prob", "-m", "365", "-n", "23", "-r", "1",
                              "--algo", "brute"])

@@ -27,7 +27,8 @@ from bbp.solvers import (
     prob_bruteforce,
     prob_exact,
 )
-from bbp.stirling import NegativeCountError, RestrictedStirling, restricted_stirling2
+from bbp.stirling import (NegativeCountError, RestrictedStirling, restricted_stirling2,
+                          stirling2)
 from oracles import (
     assignments_count_exact_k,
     assignments_prob,
@@ -532,7 +533,8 @@ def test_egf_fill_guards_exactness():
     (lambda: CountingContext(3, 2, keep_all=True), lambda ctx: (ctx._layers[2][3], -1)),
     # A direct layer is held from the top: index 0 is mm = m.
     (lambda: DirectContext(3, 2, keep_all=True), lambda ctx: (ctx._layers[2], 0)),
-    (lambda: RestrictedStirling(2, k_cap=3, keep_all=True), lambda ctx: (ctx._rows[2], -1)),
+    # {2, 2} = 1, a held count: past k = n a full-width row holds zeros.
+    (lambda: RestrictedStirling(2, k_cap=3, keep_all=True), lambda ctx: (ctx._rows[2], 2)),
 ])
 def test_layered_fills_guard_exactness(make, kept):
     # A kept count far too small drives the next layer negative.
@@ -542,6 +544,33 @@ def test_layered_fills_guard_exactness(make, kept):
     layer[i] -= 10 ** 6
     with pytest.raises(NegativeCountError):
         ctx.extend(12)
+
+
+@pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (4, 3), (6, 5), (5, 8)])
+def test_layered_fills_before_the_first_back_layer(m, r):
+    # For nn <= r no layer nn-1-r exists: c = C(nn-1, r) = 0 and Layers.fill
+    # hands each step prev as back.  No cap binds there, so every fill holds
+    # its uncapped value; at nn = r + 1 the first real back layer enters.
+    k_cap = m + r + 2  # past every nn filled: those k read row zeros
+    stirling = RestrictedStirling(r, k_cap, keep_all=True)
+    counting = CountingContext(m, r, keep_all=True)
+    direct = DirectContext(m, r, keep_all=True)
+    grid = FloatDirectContext(m, r).grid(r + 1)
+    for nn in range(r + 1):
+        assert stirling.row(nn) == [stirling2(nn, k) for k in range(k_cap + 1)]
+        for mm in range(m + 1):
+            assert direct.count(nn, mm) == mm ** nn, (mm, nn)
+            for kk in range(mm + 1):
+                assert counting.t_value(mm, nn, kk) == (
+                    math.perm(mm, kk) * stirling2(nn, kk)), (mm, nn, kk)
+        assert [grid[mm][nn] for mm in range(1, m + 1)] == [1.0] * m
+    nn = r + 1
+    for mm in range(1, m + 1):
+        want = count_bruteforce(ProblemInstance(mm, nn, r))
+        assert direct.count(nn, mm) == counting.count(nn, mm) == want, mm
+        assert sum(math.perm(mm, k) * stirling.value(nn, k)
+                   for k in range(k_cap + 1)) == want, mm
+        assert abs(grid[mm][nn] - want / mm ** nn) < 1e-12, mm
 
 
 @pytest.mark.parametrize("m, r", [(1, 1), (3, 2), (10, 4), (365, 10)])
@@ -730,6 +759,8 @@ DIRECT_AND_COLUMN = (AlgorithmId.DIRECT, AlgorithmId.COLUMN)
     (7, 11, 5, DIRECT_AND_COLUMN),
     (365, 23, 11, DIRECT_AND_COLUMN),
     (10 ** 6, 201, 100, DIRECT_AND_COLUMN),
+    # Stirling rows min(m, n) + 1 wide: m + 1 wide ones took 795 MiB here.
+    (10 ** 6, 201, 100, (AlgorithmId.STIRLING,)),
     (10 ** 5, 2001, 1000, (AlgorithmId.DIRECT,)),  # column takes about 20 s
 ], ids=lambda v: "+".join(a.value for a in v) if isinstance(v, tuple) else None)
 def test_closed_forms_at_the_cone_edges(m, n, r, algorithms):
@@ -762,6 +793,16 @@ def test_probability_range_and_degenerate_cases():
                     assert p == 1
                 if n > m * r:
                     assert p == 0
+
+
+@settings(deadline=None)
+@given(m=st.integers(1, 60), n=st.integers(0, 300), r=st.integers(1, 8))
+def test_prob_nondecreasing_in_m_and_r(m, n, r):
+    # More days, or a higher cap, never lowers P(m, n, r).
+    for algorithm in (AlgorithmId.COLUMN, AlgorithmId.DIRECT):
+        p = prob_exact(ProblemInstance(m, n, r), algorithm)
+        assert p <= prob_exact(ProblemInstance(m + 1, n, r), algorithm), algorithm
+        assert p <= prob_exact(ProblemInstance(m, n, r + 1), algorithm), algorithm
 
 
 def test_monotonicity_small():

@@ -1,11 +1,20 @@
+import io
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbp.cli import run
 from bbp.solvers import CountingContext, DirectContext, StirlingContext
 from bbp.stirling import RestrictedStirling, restricted_stirling2, stirling2
 from oracles import partition_count, set_partitions
+
+
+def invoke_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_classic_known_values():
@@ -130,3 +139,44 @@ def test_rejects_bad_arguments():
         RestrictedStirling(0, k_cap=1)
     with pytest.raises(ValueError):
         stirling2(-2, 1)
+
+
+def stirling_closed_form(n, k, r):
+    """{n, k}_{<=r} where a closed form gives it, else None."""
+    if n > k * r:
+        return 0
+    if n == k * r:
+        return math.factorial(n) // (math.factorial(r) ** k * math.factorial(k))
+    if k == n - 1 and n >= 2:
+        return math.comb(n, 2) if r >= 2 else 0
+    if k == 1:
+        return int(n <= r)
+    return None
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_restricted_closed_forms_through_the_table(r):
+    # One kept table, k_cap = 24: past k = n its full-width rows read zeros.
+    table = RestrictedStirling(r, k_cap=24, keep_all=True)
+    checked = 0
+    for n in range(1, 24 * r + 3):
+        for k in range(1, 25):
+            want = stirling_closed_form(n, k, r)
+            if want is not None:
+                assert table.value(n, k) == restricted_stirling2(n, k, r) == want, (n, k)
+                checked += 1
+    assert checked > 24 * r
+
+
+@pytest.mark.parametrize("n, k, r", [
+    (1500, 500, 3), (1500, 150, 10), (1500, 30, 50), (1500, 3, 500),  # n = k r
+    (1000, 999, 3), (600, 599, 2), (600, 599, 1),  # k = n - 1
+    (1500, 1, 1500), (1500, 1, 1499), (1501, 500, 3),  # k = 1, n > k r
+])
+def test_restricted_closed_forms_at_scale(n, k, r):
+    want = stirling_closed_form(n, k, r)
+    assert restricted_stirling2(n, k, r) == want
+    code, out, err = invoke_cli(["stirling", "-n", str(n), "-k", str(k), "-r", str(r)])
+    assert (code, out, err) == (0, "%d\n" % want, "")
+    if k * (k * r) <= 50_000:  # every row kept: k_cap + 1 values for each n
+        assert RestrictedStirling(r, k_cap=k + 2, keep_all=True).value(n, k) == want
