@@ -25,7 +25,7 @@ from .solvers import (
     prob_exact,
 )
 from .stirling import NegativeCountError, restricted_stirling2, stirling2
-from .tabulator import TableSpec, cross_check, generate_table, render
+from .tabulator import TableSpec, generate_table, render
 
 # The most digits `prob --format dec` prints: decimal_string is quadratic in
 # them before Python 3.12 (0.2 s at 10^5 digits, 1.6 s at 3 * 10^5).
@@ -226,6 +226,7 @@ def _emit_stirling(args, out) -> None:
 
 
 def _emit_xcheck(args, out) -> None:
+    from .xcheck import cross_check  # loads the oracles, which no other command needs
     report = cross_check(args.max_days, args.max_people, args.max_per_day)
     out.write("instances=%d oracle=%d divergences=%d\n" % (
         report.instances_checked, report.oracle_checked, len(report.divergences)))

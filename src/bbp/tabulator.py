@@ -1,4 +1,4 @@
-"""Batch harness: n_max grids and cross-algorithm validation.
+"""Batch harness: n_max grids.
 
 `TableSpec` owns a grid's settings: it defaults to the paper's grid and
 checks m, r and gamma as `find_nmax` does, before any cell runs.  A cell
@@ -9,7 +9,8 @@ counter and sends all its answers back in one message; results are
 assembled in spec order so the rendered output is byte-identical
 regardless of worker count.  `multiprocessing` is imported on
 first use, inside `generate_table`, so that `import bbp.cli` (the fixed cost
-of every `bbp` call) does not load it.
+of every `bbp` call) does not load it.  Cross-algorithm validation is in
+`bbp.xcheck`.
 """
 
 from __future__ import annotations
@@ -19,19 +20,7 @@ import os
 from fractions import Fraction
 
 from .search import SearchRequest, check_gamma, find_nmax
-from .solvers import (
-    AlgorithmId,
-    ColumnContext,
-    CountingContext,
-    DayContext,
-    DirectContext,
-    InstanceTooLargeError,
-    Mode,
-    ProblemInstance,
-    Record,
-    StirlingContext,
-    prob_bruteforce,
-)
+from .solvers import AlgorithmId, Mode, ProblemInstance, Record
 
 PAPER_M_VALUES = [10, 25, 50, 100, 200, 365, 500, 1000]
 PAPER_R_VALUES = list(range(1, 11))
@@ -192,61 +181,3 @@ RENDERERS = {"csv": render_csv, "markdown": render_markdown, "json": render_json
 
 def render(result: TableResult) -> str:
     return RENDERERS[result.spec.output_format](result)
-
-
-# ---------------------------------------------------------------------------
-# Cross-algorithm validation
-
-
-class Divergence(Record):
-    def __init__(self, instance: ProblemInstance, values: dict[str, str]):
-        self.instance = instance
-        self.values = values  # algorithm name -> exact probability string
-
-
-class XCheckReport(Record):
-    def __init__(self, max_m: int, max_n: int, max_r: int):
-        self.max_m = max_m
-        self.max_n = max_n
-        self.max_r = max_r
-        self.instances_checked = 0
-        self.oracle_checked = 0
-        self.divergences: list[Divergence] = []
-
-
-def cross_check(max_m: int, max_n: int, max_r: int) -> XCheckReport:
-    """Run every exact algorithm (and the oracle where admissible) on every
-    instance within bounds and record any disagreement verbatim."""
-    if max_m < 1 or max_n < 0 or max_r < 1:
-        raise ValueError("xcheck requires max_m >= 1, max_n >= 0 and max_r >= 1")
-    report = XCheckReport(max_m=max_m, max_n=max_n, max_r=max_r)
-    for r in range(1, max_r + 1):
-        fills = {
-            AlgorithmId.DAY_AT_A_TIME.value: DayContext(max_m, r),
-            AlgorithmId.COUNTING.value: CountingContext(max_m, r, keep_all=True),
-            AlgorithmId.STIRLING.value: StirlingContext(max_m, r, keep_all=True),
-            AlgorithmId.DIRECT.value: DirectContext(max_m, r, keep_all=True),
-        }
-        for ctx in fills.values():
-            ctx.extend(max_n)
-        for m in range(1, max_m + 1):
-            # The column context holds only its own m.
-            contexts = {**fills, AlgorithmId.COLUMN.value: ColumnContext(m, r)}
-            for n in range(0, max_n + 1):
-                inst = ProblemInstance(m, n, r)
-                values = {name: ctx.prob(n, m) for name, ctx in contexts.items()}
-                try:
-                    values[AlgorithmId.BRUTE_FORCE.value] = prob_bruteforce(inst)
-                    report.oracle_checked += 1
-                except InstanceTooLargeError:
-                    pass  # beyond the oracle's limit: the exact routes only
-                report.instances_checked += 1
-                if len(set(values.values())) != 1:
-                    report.divergences.append(
-                        Divergence(
-                            instance=inst,
-                            values={k: str(v) for k, v in values.items()},
-                        )
-                    )
-    return report
-

@@ -7,12 +7,8 @@ import pytest
 
 from bbp.search import SearchRequest, SearchResult
 from bbp.solvers import Mode, ProblemInstance
-from bbp.tabulator import (
-    Divergence,
-    TableResult,
-    TableSpec,
-    XCheckReport,
-)
+from bbp.tabulator import TableResult, TableSpec
+from bbp.xcheck import Divergence, XCheckReport
 
 
 def test_default_construction():

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbp.oracles
 import bbp.solvers
 from bbp.cli import run
 from bbp.exact_arith import big_int_strings
@@ -83,7 +84,7 @@ def test_bruteforce_matches_assignment_enumeration():
 def test_bruteforce_guard(monkeypatch):
     with pytest.raises(InstanceTooLargeError):
         prob_bruteforce(ProblemInstance(365, 23, 1))
-    monkeypatch.setattr(bbp.solvers, "DEFAULT_ORACLE_LIMIT", 10)
+    monkeypatch.setattr(bbp.oracles, "DEFAULT_ORACLE_LIMIT", 10)
     with pytest.raises(InstanceTooLargeError, match="more than 10 "):
         prob_bruteforce(ProblemInstance(10, 10, 5))
 

@@ -16,13 +16,13 @@ from bbp.search import SearchRequest
 from bbp.stirling import NegativeCountError
 from bbp.tabulator import (
     TableSpec,
-    cross_check,
     generate_table,
     render,
     render_csv,
     render_json,
     render_markdown,
 )
+from bbp.xcheck import cross_check
 
 
 def small_spec(**overrides):
