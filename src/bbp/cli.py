@@ -198,17 +198,18 @@ def _emit_table(args, out) -> None:
 
 def _stirling_work(n: int, k: int, r: int | None) -> int:
     """The work of {n, k} or {n, k}_{<=r}, in bit operations, before any
-    arithmetic; 0 where the library answers at once.
+    arithmetic; 0 where the library answers at once (k = n - 1 among them).
 
     Values are at most k**n, under w = n ceil(log2 k) + 64 bits.  The sum takes
     k + 1 powers j**n, each about w sqrt(w) (Karatsuba multiplies in w**1.585).
     The restricted fill visits k' = ceil(nn/r)..min(nn, k) in each row nn <= n,
     about (k (2n - k) r - n^2) / (2r) cells in all, one addition of w bits each.
+    With r >= n - k + 1 the cap cannot bind, and the library runs the sum.
     """
-    if n <= 0 or not 0 < k < n or (r is not None and n > k * r):
+    if n <= 0 or not 0 < k < n - 1 or (r is not None and n > k * r):
         return 0
     width = n * (k - 1).bit_length() + 64
-    if r is None:
+    if r is None or r >= n - k + 1:
         return (k + 1) * width * math.isqrt(width)
     return ((k * (2 * n - k) * r - n * n) // (2 * r) + n) * width
 

@@ -19,7 +19,8 @@ class NegativeCountError(RuntimeError):
 def stirling2(n: int, k: int) -> int:
     """Classic Stirling number of the second kind {n, k}.
 
-    Zero for k < 0 or k > n, and one for k == n without the sum.
+    Zero for k < 0 or k > n, one for k == n and C(n, 2) for k == n - 1,
+    without the sum.
     """
     if n < 0:
         raise ValueError("stirling2 requires n >= 0")
@@ -27,6 +28,8 @@ def stirling2(n: int, k: int) -> int:
         return 0
     if k == n:
         return 1  # all singletons, and {0, 0}
+    if k == n - 1:
+        return math.comb(n, 2)  # one pair, the rest singletons
     total, remainder = divmod(
         sum((-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)),
         math.factorial(k))
@@ -79,7 +82,9 @@ def restricted_stirling2(n: int, k: int, r: int) -> int:
     """{n, k} with every block of size at most r.
 
     Zero when k < 0, k > n or n > k*r (so for k = 0 < n), and one when
-    k == n, without a fill.
+    k == n, without a fill.  When r >= n - k + 1 the cap cannot bind, since
+    no block of a k-block partition of n holds more than n - k + 1 elements,
+    and the classic {n, k} answers: C(n, 2) at k == n - 1, without a sum.
     """
     if n < 0:
         raise ValueError("restricted_stirling2 requires n >= 0")
@@ -87,4 +92,6 @@ def restricted_stirling2(n: int, k: int, r: int) -> int:
         return 0
     if k == n:
         return 1  # all singletons, and {0, 0}
+    if r >= n - k + 1:
+        return stirling2(n, k)
     return RestrictedStirling(r, k_cap=k).value(n, k)

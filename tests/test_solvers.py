@@ -1,5 +1,8 @@
+import ast
+import importlib
 import io
 import math
+import pathlib
 import time
 from fractions import Fraction
 from itertools import product
@@ -7,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbp
 import bbp.oracles
 import bbp.solvers
 from bbp.cli import run
@@ -25,6 +29,7 @@ from bbp.solvers import (
     count_bruteforce,
     count_exact,
     count_valid_stirling,
+    make_context,
     prob_bruteforce,
     prob_exact,
 )
@@ -822,3 +827,42 @@ def test_monotonicity_small():
                 a = DirectContext(m, r).prob(n)
                 b = DirectContext(m, r + 1).prob(n)
                 assert a <= b  # nondecreasing in r
+
+
+# ---------------------------------------------------------------------------
+# Module layout
+
+
+def _names_imported_from_solvers(path):
+    tree = ast.parse(path.read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "bbp.solvers"
+            for alias in node.names}
+
+
+def test_every_name_resolves_to_its_defining_module():
+    # The acceptance suite and the perfbench tracer import names from
+    # bbp.solvers that now live in bbp.oracles; bbp resolves its exports
+    # lazily.  Each must be the object its defining module holds.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    names = (_names_imported_from_solvers(root / "tests" / "test_acceptance.py")
+             | _names_imported_from_solvers(root / "perfbench" / "tracing.py"))
+    assert {"DayContext", "StirlingContext", "FloatDirectContext"} <= names
+    for owner, owned in [(bbp.solvers, sorted(names)), (bbp, bbp.__all__)]:
+        for name in owned:
+            obj = getattr(owner, name)
+            home = importlib.import_module(obj.__module__)
+            assert getattr(home, obj.__name__) is obj, (owner.__name__, name)
+    for name in ("DayContext", "CountingContext", "StirlingContext", "prob_bruteforce"):
+        assert getattr(bbp.solvers, name).__module__ == "bbp.oracles", name
+    assert bbp.cross_check.__module__ == bbp.XCheckReport.__module__ == "bbp.xcheck"
+    for owner in (bbp.solvers, bbp):
+        with pytest.raises(AttributeError):
+            owner.no_such_name
+    for algorithm in AlgorithmId:
+        if algorithm is AlgorithmId.BRUTE_FORCE:
+            with pytest.raises(ValueError, match="no incremental context"):
+                make_context(3, 2, algorithm)
+            continue
+        ctx = make_context(3, 2, algorithm)
+        assert ctx.count(5) == count_bruteforce(ProblemInstance(3, 5, 2)), algorithm

@@ -154,6 +154,16 @@ def stirling_closed_form(n, k, r):
     return None
 
 
+def test_restricted_matches_the_kept_table():
+    # restricted_stirling2 answers r >= n - k + 1 with the classic number
+    # and fills a table elsewhere; both agree with one kept table.
+    for r in range(1, 7):
+        table = RestrictedStirling(r, k_cap=40, keep_all=True)
+        for n in range(40):
+            for k in range(n + 2):
+                assert restricted_stirling2(n, k, r) == table.value(n, k), (n, k, r)
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_restricted_closed_forms_through_the_table(r):
     # One kept table, k_cap = 24: past k = n its full-width rows read zeros.

@@ -36,6 +36,10 @@ test "$($BBP table --format csv --jobs 2)" = "$($BBP table --format csv --jobs 1
 test "$($BBP stirling -n 30 -k 7)" = "$($BBP stirling -n 30 -k 7 -r 30)"
 test "$($BBP stirling -n 12 -k 4 -r 3)" = 15400  # {k r, k} = (k r)! / (r!^k k!)
 code=0; timeout 10 $BBP stirling -n 100000 -k 50000 -r 3 >/dev/null 2>&1 || code=$?; test "$code" = 2
+test "$(timeout 10 $BBP stirling -n 2000 -k 1000 -r 2000)" = "$(timeout 10 $BBP stirling -n 2000 -k 1000)"  # r >= n - k + 1
+test "$(timeout 10 $BBP stirling -n 1000000000000 -k 999999999999 -r 2)" = 499999999999500000000000  # C(n, 2)
+$PYTHON -c "import sys, bbp.cli; loaded = {'bbp.oracles', 'bbp.xcheck'} & set(sys.modules); assert not loaded, loaded"
+$PYTHON -c "from bbp.solvers import DayContext, CountingContext, StirlingContext, prob_bruteforce"
 test "$($BBP nmax -m 30 -r 100 --gamma 1/100000000000000000000000000000000000000000)" = 3000
 test "$($BBP table --days 10000 --max-per-day 5 --gamma 9999999999999999999999999/10000000000000000000000000 --float-above 1 --format csv)" = "$(printf 'r\\m,10000\n5,5')"
 test "$($BBP table --days 365,500 --max-per-day 9,10 --float-above 1 --format csv)" = "$($BBP table --days 365,500 --max-per-day 9,10 --format csv)"
