@@ -227,7 +227,7 @@ def _emit_stirling(args, out) -> None:
 
 
 def _emit_xcheck(args, out) -> None:
-    from .xcheck import cross_check  # loads the oracles, which no other command needs
+    from .xcheck import cross_check  # here, not at import: it loads the oracles
     report = cross_check(args.max_days, args.max_people, args.max_per_day)
     out.write("instances=%d oracle=%d divergences=%d\n" % (
         report.instances_checked, report.oracle_checked, len(report.divergences)))
