@@ -303,6 +303,8 @@ def test_digits_past_the_bound_exit_2():
 @pytest.mark.parametrize("argv", [
     ["-n", "100000", "-k", "50000", "-r", "3"],  # ran until killed
     ["-n", "100000", "-k", "50000"],
+    # k = n - 2 has no shortcut (k = n - 1 is answered at once as C(n, 2)).
+    ["-n", "1000000000000", "-k", "999999999998", "-r", "2"],
 ])
 def test_stirling_past_the_work_bound_exit_2(argv):
     # The work is estimated before any arithmetic.
